@@ -11,6 +11,8 @@ k-linear involution and provides the symmetric/skew splitting and the
 orthogonal/symplectic/unitary kind classification.
 """
 
+import math
+
 from .funcfield import RatFunc
 from .linalg import KSpan, Mat
 
@@ -124,7 +126,7 @@ class Algebra:
     def left_mult_matrix(self, u):
         """Matrix of x -> u*x on the structure basis."""
         cols = [self.mult(u, self.basis_coords(j)) for j in range(self.dim)]
-        return Mat(self.p, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+        return Mat(self.p, cols).T
 
     def regular_representation(self):
         """Left-regular matrices of the basis (faithful: the algebra is unital)."""
@@ -158,7 +160,7 @@ class Algebra:
 
     def right_mult_matrix(self, u):
         cols = [self.mult(self.basis_coords(j), u) for j in range(self.dim)]
-        return Mat(self.p, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)])
+        return Mat(self.p, cols).T
 
     def charpoly_regular(self, u):
         """Characteristic polynomial (ascending coeffs) of left mult by u."""
@@ -222,8 +224,7 @@ def quotient_algebra(E, ideal_vectors):
     d = probe.dim - span.dim
     assert len(lifts) == d
     # solve matrix: columns are (ideal basis | lifts)
-    cols = span.basis_rows() + lifts
-    solve_mat = Mat(p, [[cols[j][i] for j in range(len(cols))] for i in range(E.dim)])
+    solve_mat = Mat(p, span.basis_rows() + lifts).T
     table = []
     qd_tmp = QuotientData(E, span, None, lifts, solve_mat)
     for a in range(d):
@@ -329,10 +330,6 @@ class InvolutionAlgebra:
     def sym_dim(self):
         return len(self.symmetric_basis())
 
-    def fixes_center(self):
-        A = self.algebra
-        return all(self.apply(z) == tuple(z) for z in A.center())
-
     def kind(self):
         """'orthogonal' / 'symplectic' / 'unitary' for a simple carrier.
 
@@ -347,7 +344,7 @@ class InvolutionAlgebra:
         if center_dim != 1:
             raise ValueError("decompose first: carrier is not simple over k")
         m2 = A.dim
-        m = _isqrt(m2)
+        m = math.isqrt(m2)
         if m * m != m2:
             raise ValueError("carrier dimension is not a square over its center")
         s = self.sym_dim()
@@ -356,12 +353,3 @@ class InvolutionAlgebra:
         if s == m * (m - 1) // 2:
             return "symplectic"
         raise ValueError(f"symmetric dimension {s} matches neither kind for degree {m}")
-
-
-def _isqrt(n):
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r

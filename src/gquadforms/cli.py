@@ -6,11 +6,10 @@ certificate failure.  Output is JSON on stdout unless --pretty is given.
 """
 
 import argparse
-import json
 import sys
 
 from .errors import CertificateError, ExtractionError, InputError, UnsupportedCenterError
-from .funcfield import hilbert_symbol, support
+from .funcfield import hilbert_symbol, require_odd_prime, support
 from .jsonio import (
     dump_json,
     gmodule_from_json,
@@ -144,7 +143,7 @@ def cmd_hp_check(args):
 
 def cmd_counterexample(args):
     from .csa import Quaternion
-    from .construct import counterexample_pipeline
+    from .construct import counterexample_pipeline, default_quaternions
 
     p = args.p
 
@@ -156,28 +155,12 @@ def cmd_counterexample(args):
             raise InputError("quaternion must be given as 'a,b'")
         return Quaternion(parse_ratfunc(p, parts[0]), parse_ratfunc(p, parts[1]))
 
-    h1 = parse_pair(args.h1, _default_h1(p))
-    h2 = parse_pair(args.h2, _default_h2(p))
+    default_h1, default_h2 = default_quaternions(p)
+    h1 = parse_pair(args.h1, default_h1)
+    h2 = parse_pair(args.h2, default_h2)
     report = counterexample_pipeline(h1, h2, sample_places=args.sample_places)
     _emit(report, args)
     return EXIT_OK
-
-
-def _default_h1(p):
-    from .csa import Quaternion
-    from .funcfield import RatFunc
-
-    return Quaternion(RatFunc.from_int(p, -1), RatFunc.t(p))
-
-
-def _default_h2(p):
-    from .csa import Quaternion
-    from .funcfield import Poly, RatFunc
-
-    t = Poly.t(p)
-    one = Poly.one(p)
-    b = (t - one) * (t - one.scale(2))
-    return Quaternion(RatFunc.from_int(p, -1), RatFunc(b))
 
 
 def cmd_verify_paper(args):
@@ -238,7 +221,9 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.p < 3 or args.p % 2 == 0:
+    try:
+        require_odd_prime(args.p)
+    except ValueError:
         print("error: --p must be an odd prime", file=sys.stderr)
         return EXIT_INPUT
     try:

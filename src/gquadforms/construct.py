@@ -12,6 +12,7 @@ unverified pair.
 """
 
 import json
+from dataclasses import dataclass
 
 from .algebra import Algebra, InvolutionAlgebra
 from .csa import (
@@ -22,21 +23,24 @@ from .csa import (
     tensor_m2q,
 )
 from .errors import CertificateError, InputError
-from .funcfield import Place, Poly, RatFunc, irreducibles, square_class
+from .funcfield import Place, Poly, RatFunc, denominator_lcm, irreducibles
 from .grpalg import (
     EndAlgebra,
     GModule,
     GroupSpec,
+    QuotientWithInvolution,
+    RadicalResult,
     check_module,
     complement_lifts,
+    decompose_components,
     endomorphism_algebra,
-    hp_verdict,
     jacobson_radical,
     quotient_with_involution,
+    verdict_from_components,
 )
 from .hermitian import (
+    InducedInvolution,
     QuaternionPairShape,
-    clifford_quaternion_pair,
     counterexample_element,
     induced_involution,
     local_hyperbolicity,
@@ -46,24 +50,29 @@ from .linalg import KSpan, Mat, PolyMat
 from .quadform import QuadForm, equivalent_global, invariants_report, is_hyperbolic
 
 
+def default_quaternions(p):
+    """The default inputs H1 = (-1, t) and H2 = (-1, (t - 1)(t - 2))."""
+    t, one = Poly.t(p), Poly.one(p)
+    minus_one = RatFunc.from_int(p, -1)
+    return (
+        Quaternion(minus_one, RatFunc.t(p)),
+        Quaternion(minus_one, RatFunc((t - one) * (t - one.scale(2)))),
+    )
+
+
+@dataclass(slots=True, eq=False)
 class ConstructionBundle:
     """One quaternion's worth of construction: (N, q, gamma, quotient)."""
 
-    __slots__ = (
-        "quaternion",
-        "module",
-        "form",
-        "alpha",
-        "gamma",
-        "end_algebra",
-        "radical",
-        "quotient",
-        "checks",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+    quaternion: Quaternion
+    module: GModule
+    form: QuadForm
+    alpha: Mat
+    gamma: InducedInvolution
+    end_algebra: EndAlgebra
+    radical: RadicalResult
+    quotient: QuotientWithInvolution
+    checks: dict
 
 
 def build_N(H, prefix="g"):
@@ -195,8 +204,7 @@ def build_q(H, N):
         raise CertificateError("dim Sym(rho) != 6")
     if not rho.fixes_generators():
         raise CertificateError("rho does not fix the sandwich generators")
-    alpha = solve_alpha(rho, H)
-    alpha = _primitive_scale(alpha)
+    alpha = _primitive_scale(solve_alpha(rho, H))
     p = H.p
     if alpha.T != -alpha:
         raise CertificateError("alpha is not skew-symmetric")
@@ -224,12 +232,7 @@ def build_q(H, N):
 
 def _primitive_scale(alpha):
     p = alpha.p
-    lcm = Poly.one(p)
-    for row in alpha.rows:
-        for e in row:
-            g = lcm.gcd(e.den)
-            lcm = lcm * e.den.exact_div(g)
-    scaled = alpha * RatFunc(lcm)
+    scaled = alpha.clear_denominators()
     content = Poly.zero(p)
     for row in scaled.rows:
         for e in row:
@@ -303,25 +306,20 @@ def _verify_canonical_quotient_involution(quot):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True, eq=False)
 class TensorBundle:
     """(N1 (x) N2, q1 (x) q2) over G x G with factored E, R, and quotient."""
 
-    __slots__ = (
-        "factors",
-        "module",
-        "form",
-        "gamma",
-        "end_algebra",
-        "radical",
-        "quotient_algebra",
-        "quotient_involution",
-        "lift_mats",
-        "checks",
-    )
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+    factors: tuple
+    module: GModule
+    form: QuadForm
+    gamma: InducedInvolution
+    end_algebra: EndAlgebra
+    radical: RadicalResult
+    quotient_algebra: Algebra
+    quotient_involution: InvolutionAlgebra
+    lift_mats: list
+    checks: dict
 
     def lift_of(self, coords):
         """Matrix lift of quotient coordinates along the complement."""
@@ -400,9 +398,7 @@ def tensor_pair(b1, b2):
         i1 = b1.quotient.involution.apply(A1.basis_coords(a1))
         for a2 in range(dq2):
             cols.append(tens(i1, b2.quotient.involution.apply(A2.basis_coords(a2))))
-    d = Ebar.dim
-    inv_mat = Mat(p, [[cols[j][i] for j in range(d)] for i in range(d)])
-    gbar = InvolutionAlgebra(Ebar, inv_mat)
+    gbar = InvolutionAlgebra(Ebar, Mat(p, cols).T)
     if gbar.kind() != "orthogonal" or gbar.sym_dim() != 10:
         raise CertificateError("tensor quotient involution is not orthogonal of Sym-dim 10")
     from .grpalg import _radical_chain_mats
@@ -471,12 +467,8 @@ def _factor_lift_for_basis(b, lifts):
     """Matrices lifting exactly the quotient basis vectors of one factor."""
     alg = b.end_algebra.algebra()
     quot = b.quotient.quotient
-    cols = []
-    for L in lifts:
-        c = alg.coords_of(L)
-        cols.append(quot.project(c))
-    M = Mat(b.module.p, [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-    Minv = M.inverse()
+    cols = [quot.project(alg.coords_of(L)) for L in lifts]
+    Minv = Mat(b.module.p, cols).T.inverse()
     out = []
     dq = len(cols[0])
     for i in range(dq):
@@ -548,7 +540,7 @@ def counterexample_pipeline(H1, H2, sample_places=5):
     ubar = result["ubar"]
     # scale to polynomial coordinates (class-invariant for every certificate:
     # the twisted involution is unchanged and Nrd scales by a 4th power)
-    ubar = _clear_coord_denominators(tb.quotient_algebra, ubar)
+    ubar = _clear_coord_denominators(ubar)
     # local G-equivalence table: records of ubar vs 1 at every bad place
     unit = tb.quotient_algebra.unit
     local_table = []
@@ -570,7 +562,7 @@ def counterexample_pipeline(H1, H2, sample_places=5):
     # exactly gamma-symmetry of u since Gram(q) is symmetric invertible
     u = tb.lift_of(ubar)
     ubar_inv = tb.quotient_algebra.inverse(ubar)
-    u_inv = tb.lift_of(_clear_coord_denominators(tb.quotient_algebra, ubar_inv))
+    u_inv = tb.lift_of(_clear_coord_denominators(ubar_inv))
     prod = u * u_inv
     if not _is_scalar_matrix(prod):
         raise CertificateError("lift of ubar is not invertible in the complement")
@@ -587,8 +579,10 @@ def counterexample_pipeline(H1, H2, sample_places=5):
     # hyperbolicity of the underlying forms (both are, over a function field)
     q_hyper = is_hyperbolic(tb.form)
     # criterion verdicts for both regimes
-    verdict_factor = hp_verdict_from_quotient(b1)
-    verdict_tensor = hp_verdict_from_quotient_tensor(tb, shape)
+    verdict_factor = verdict_from_components(
+        decompose_components(b1.quotient.involution), "orthogonal-components-split"
+    )
+    verdict_tensor = hp_verdict_from_quotient_tensor(tb)
     report = {
         "p": p,
         "inputs": {
@@ -630,35 +624,11 @@ def counterexample_pipeline(H1, H2, sample_places=5):
     return report
 
 
-def hp_verdict_from_quotient(b):
-    """Criterion verdict for a factor bundle (components of its quotient)."""
-    from .grpalg import decompose_components
-
-    comps = decompose_components(b.quotient.involution)
-    ok, blocking = comps.orthogonal_all_split()
-    verdict = "guaranteed" if ok else "not-guaranteed-by-criterion"
-    return {
-        "verdict": verdict,
-        "path": "orthogonal-components-split",
-        "evidence": {"components": comps.to_json()},
-    }
-
-
-def hp_verdict_from_quotient_tensor(tb, shape=None):
+def hp_verdict_from_quotient_tensor(tb):
     """Criterion verdict for the tensor bundle."""
-    from .grpalg import decompose_components
-
-    comps = decompose_components(tb.quotient_involution)
-    ok, blocking = comps.orthogonal_all_split()
-    verdict = "guaranteed" if ok else "not-guaranteed-by-criterion"
-    out = {
-        "verdict": verdict,
-        "path": "orthogonal-components-split",
-        "evidence": {"components": comps.to_json()},
-    }
-    if blocking is not None:
-        out["evidence"]["blocking_component"] = dict(blocking)
-    return out
+    return verdict_from_components(
+        decompose_components(tb.quotient_involution), "orthogonal-components-split"
+    )
 
 
 def _is_scalar_matrix(M):
@@ -678,15 +648,8 @@ def _is_scalar_matrix(M):
     return True
 
 
-def _clear_coord_denominators(alg, coords):
-    p = alg.p
-    lcm = Poly.one(p)
-    for c in coords:
-        g = lcm.gcd(c.den)
-        lcm = lcm * c.den.exact_div(g)
-    if lcm.is_one():
-        return tuple(coords)
-    s = RatFunc(lcm)
+def _clear_coord_denominators(coords):
+    s = RatFunc(denominator_lcm(coords))
     return tuple(c * s for c in coords)
 
 

@@ -9,8 +9,8 @@ exactly as in the unipotent-module construction this feeds into.
 """
 
 from .funcfield import Place, RatFunc, hilbert_symbol, support, square_class
-from .linalg import KSpan, Mat
-from .quadform import QuadForm, is_isotropic
+from .linalg import KSpan, Mat, matrix_units
+from .quadform import QuadForm
 from .algebra import Algebra, InvolutionAlgebra
 
 
@@ -28,10 +28,6 @@ class Quaternion:
     @property
     def p(self):
         return self.a.p
-
-    @classmethod
-    def from_ints(cls, p, a, b):
-        return cls(RatFunc.from_int(p, a), RatFunc.from_int(p, b))
 
     def reduced(self):
         """Same algebra with a, b replaced by their square-class representatives."""
@@ -162,15 +158,13 @@ def quat_conj(x):
 def left_mult_matrix(x):
     """Matrix of z -> x*z on the basis {1, i, j, ij} (columns are images)."""
     H = x.H
-    cols = [quat_mul(x, e).coords for e in H.basis()]
-    return Mat(H.p, [[cols[j][i] for j in range(4)] for i in range(4)])
+    return Mat(H.p, [quat_mul(x, e).coords for e in H.basis()]).T
 
 
 def right_mult_matrix(x):
     """Matrix of z -> z*x; these realize H^op inside M_4(k)."""
     H = x.H
-    cols = [quat_mul(e, x).coords for e in H.basis()]
-    return Mat(H.p, [[cols[j][i] for j in range(4)] for i in range(4)])
+    return Mat(H.p, [quat_mul(e, x).coords for e in H.basis()]).T
 
 
 def twisted_involution(H, x):
@@ -198,9 +192,8 @@ class SandwichIso:
             for y in basis:
                 mats.append(Lx * right_mult_matrix(y))
         self._basis_mats = mats
-        cols = Mat(H.p, [[m.flatten()[i] for m in mats] for i in range(16)])
         try:
-            self._coord_inv = cols.inverse()
+            self._coord_inv = Mat(H.p, [m.flatten() for m in mats]).T.inverse()
         except ValueError as exc:
             raise AssertionError("sandwich map is not bijective") from exc
 
@@ -269,15 +262,9 @@ def rho_involution(H):
     """(M_4(k), rho) as an InvolutionAlgebra, with the sandwich data attached."""
     rho = RhoInvolution(H)
     p = H.p
-    units = []
-    for i in range(4):
-        for j in range(4):
-            rows = [[RatFunc.one(p) if (r, c) == (i, j) else RatFunc.zero(p) for c in range(4)] for r in range(4)]
-            units.append(Mat(p, rows))
-    alg = Algebra.from_matrices(p, units)
+    alg = Algebra.from_matrices(p, matrix_units(p, 4))
     cols = [alg.coords_of(rho.apply(alg.matrix_of(alg.basis_coords(m)))) for m in range(16)]
-    inv_mat = Mat(p, [[cols[j][i] for j in range(16)] for i in range(16)])
-    ia = InvolutionAlgebra(alg, inv_mat)
+    ia = InvolutionAlgebra(alg, Mat(p, cols).T)
     return ia, rho
 
 
@@ -290,11 +277,7 @@ def solve_alpha(rho, H):
     row-major order is 1.
     """
     p = H.p
-    units = []
-    for i in range(4):
-        for j in range(4):
-            rows = [[RatFunc.one(p) if (r, c) == (i, j) else RatFunc.zero(p) for c in range(4)] for r in range(4)]
-            units.append(Mat(p, rows))
+    units = matrix_units(p, 4)
     eq_rows = []
     for X in units:
         RX = rho.apply(X)

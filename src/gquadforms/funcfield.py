@@ -20,22 +20,39 @@ import random
 import numpy as np
 
 _CONV_THRESHOLD = 24  # switch polynomial products to numpy convolution
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _require_odd_prime(p):
+def require_odd_prime(p):
+    """Raise ValueError unless p is an odd prime.
+
+    Miller-Rabin on the first twelve prime bases: a proof of primality for
+    p < 3.3 * 10^24 and a strong probable-prime test above that.  Trial
+    division would stall on a large p that the arithmetic itself handles.
+    """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        if a % p == 0:
+            continue
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             raise ValueError(f"p must be an odd prime, got {p}")
-        d += 2
 
 
 @functools.cache
 def smallest_nonsquare(p):
     """Smallest positive nonsquare residue mod p (the fixed SquareClass unit)."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     squares = {pow(x, 2, p) for x in range(1, p)}
     for c in range(2, p):
         if c not in squares:
@@ -620,9 +637,6 @@ class RatFunc:
             return self.inverse() ** (-e)
         return RatFunc(self.num**e, self.den**e)
 
-    def scale_int(self, c):
-        return RatFunc(self.num.scale(c), self.den)
-
     def __str__(self):
         if self.den.is_one():
             return str(self.num)
@@ -630,6 +644,15 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.p}, {self})"
+
+
+def denominator_lcm(values):
+    """Monic lcm of the denominators of a nonempty iterable of RatFunc."""
+    it = iter(values)
+    lcm = next(it).den
+    for x in it:
+        lcm = lcm * x.den.exact_div(lcm.gcd(x.den))
+    return lcm
 
 
 INFINITY_VALUATION = float("inf")

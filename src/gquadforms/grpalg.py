@@ -18,13 +18,14 @@ certificate (ideal, nilpotent, semisimple quotient), so a bug here cannot
 silently corrupt downstream verdicts.
 """
 
+import math
+
 import numpy as np
 
 from .algebra import Algebra, InvolutionAlgebra, quotient_algebra
-from .errors import CertificateError, InputError, UnsupportedCenterError
-from .funcfield import Poly, RatFunc
-from .linalg import KSpan, Mat, PolyMat, modp_nullspace
-from .quadform import QuadForm
+from .errors import CertificateError, ExtractionError, InputError, UnsupportedCenterError
+from .funcfield import Poly, RatFunc, denominator_lcm
+from .linalg import KSpan, Mat, PolyMat, matrix_units, modp_nullspace
 
 
 class GroupSpec:
@@ -242,7 +243,7 @@ def _commutant_constant(m):
     """numpy fast path: constant actions give an F_p-defined solution space."""
     p, n = m.p, m.dim
     if not m.group.generators:
-        return _full_matrix_basis(p, n)
+        return matrix_units(p, n)
     ident = np.eye(n, dtype=np.int64)
     blocks = []
     for g in m.group.generators:
@@ -258,21 +259,9 @@ def _commutant_constant(m):
     return _rref_matrices(p, basis)
 
 
-def _full_matrix_basis(p, n):
-    out = []
-    for i in range(n):
-        for j in range(n):
-            out.append(
-                Mat.from_int_rows(
-                    p, [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)]
-                )
-            )
-    return out
-
-
 def _commutant_generic(m):
     if not m.group.generators:
-        return _full_matrix_basis(m.p, m.dim)
+        return matrix_units(m.p, m.dim)
     return commutant_of_matrices(m.p, m.dim, [m.action[g] for g in m.group.generators])
 
 
@@ -414,27 +403,16 @@ def _semilinear_nullspace(p, gram, q):
         rows = [[gram[m][j] for m in range(N)] for j in range(N)]
         return Mat(p, rows).nullspace()
     rows = []
-    one = Poly.one(p)
     for j in range(N):
-        lcm = one
-        for m in range(N):
-            den = gram[m][j].den
-            g = lcm.gcd(den)
-            lcm = lcm * den.exact_div(g)
-        scale = RatFunc(lcm)
-        polys = [(gram[m][j] * scale).num for m in range(N)]
-        for r in range(q):
-            row = [RatFunc(Poly(p, f.coeffs[r::q])) for f in polys]
+        column = [gram[m][j] for m in range(N)]
+        scale = RatFunc(denominator_lcm(column))
+        sections = [(e * scale).num.frobenius_sections(q) for e in column]
+        for stratum in zip(*sections):
+            row = [RatFunc(f) for f in stratum]
             if any(not e.is_zero() for e in row):
                 rows.append(row)
     if not rows:
-        ident = [
-            tuple(
-                RatFunc.one(p) if i == j else RatFunc.zero(p) for j in range(N)
-            )
-            for i in range(N)
-        ]
-        return ident
+        return list(Mat.identity(p, N).rows)
     return Mat(p, rows).nullspace()
 
 
@@ -751,8 +729,7 @@ def quotient_with_involution(E, radical, iota):
         if c is None:
             raise InputError("involution does not preserve the algebra")
         cols.append(quot.project(c))
-    inv_mat = Mat(E.p, [[cols[j][i] for j in range(d)] for i in range(d)])
-    inv_alg = InvolutionAlgebra(quot.algebra, inv_mat)  # verifies iota^2, anti-mult
+    inv_alg = InvolutionAlgebra(quot.algebra, Mat(E.p, cols).T)  # verifies iota^2, anti-mult
     return QuotientWithInvolution(E, quot, inv_alg, radical, parent_iota=iota)
 
 
@@ -816,8 +793,7 @@ def _minimal_polynomial(alg, z):
             break
         powers.append(cur)
     # cur = sum of previous powers: solve for the monic relation
-    cols = Mat(p, [[powers[j][i] for j in range(len(powers))] for i in range(alg.dim)])
-    sol = cols.solve(cur)
+    sol = Mat(p, powers).T.solve(cur)
     if sol is None:
         raise CertificateError("Krylov relation solve failed")
     coeffs = [-c for c in sol] + [RatFunc.one(p)]
@@ -832,11 +808,7 @@ def _poly_roots_in_k(p, coeffs):
     coefficient, up to constants); every candidate is verified by exact
     substitution, so the output is complete and correct.
     """
-    lcm = Poly.one(p)
-    for c in coeffs:
-        g = lcm.gcd(c.den)
-        lcm = lcm * c.den.exact_div(g)
-    scale = RatFunc(lcm)
+    scale = RatFunc(denominator_lcm(coeffs))
     polys = [(c * scale).num for c in coeffs]
     roots = []
     zero = RatFunc.zero(p)
@@ -925,7 +897,7 @@ def _try_split_torus(sub):
     """Sufficient split certificate: an element whose minimal polynomial has
     deg = degree(algebra) distinct roots in k spans a split maximal etale
     subalgebra k^m, which forces the component to be M_m(k)."""
-    m = _isqrt_int(sub.dim)
+    m = math.isqrt(sub.dim)
     if m * m != sub.dim:
         return False
     p = sub.p
@@ -945,15 +917,6 @@ def _try_split_torus(sub):
     return False
 
 
-def _isqrt_int(n):
-    r = int(round(n**0.5))
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
-
-
 def _component_splitness(sub, sub_inv=None, kind=None):
     """(splitness, ramification list or None) for a center-k component."""
     if sub.dim == 1:
@@ -963,7 +926,7 @@ def _component_splitness(sub, sub_inv=None, kind=None):
 
         try:
             quat, _ = quaternion_from_algebra(sub)
-        except Exception:
+        except (ValueError, ExtractionError):
             return "unknown", None
         ramset = quat.ramification_set()
         return ("split" if not ramset else "nonsplit-quaternion"), [str(v) for v in ramset]
@@ -974,7 +937,7 @@ def _component_splitness(sub, sub_inv=None, kind=None):
 
         try:
             pair = clifford_quaternion_pair(sub_inv)
-        except Exception:
+        except (ValueError, ExtractionError):
             return "unknown", None
         r1 = set(pair[0].quaternion.ramification_set())
         r2 = set(pair[1].quaternion.ramification_set())
@@ -1063,8 +1026,7 @@ def _stable_component_report(inv_alg, alg, e):
         if c is None:
             raise CertificateError("involution does not preserve a stable component")
         cols.append(c)
-    inv_mat = Mat(alg.p, [[cols[j][i] for j in range(sub.dim)] for i in range(sub.dim)])
-    sub_inv = InvolutionAlgebra(sub, inv_mat)
+    sub_inv = InvolutionAlgebra(sub, Mat(alg.p, cols).T)
     try:
         kind = sub_inv.kind()
     except ValueError as exc:
@@ -1104,9 +1066,7 @@ def is_projective(m):
     # rad * m = sum of images of (g - 1)
     img_rows = []
     for g in gens:
-        D = m.action[g] - ident
-        for j in range(m.dim):
-            img_rows.append([D.rows[i][j] for i in range(m.dim)])
+        img_rows.extend((m.action[g] - ident).T.rows)
     if img_rows:
         sp = KSpan(p)
         for row in img_rows:
@@ -1159,6 +1119,41 @@ def _all_group_elements(m):
     return mats
 
 
+# path -> (reason when guaranteed, reason when not)
+_COMPONENT_REASONS = {
+    "orthogonal-components-split": (
+        "all orthogonal components split",
+        "orthogonal component not known split",
+    ),
+    "all-components-split": (
+        "every component splits, so the criterion holds for any form",
+        "no form supplied and some component is not known split",
+    ),
+}
+
+
+def verdict_from_components(comps, path, evidence=None):
+    """{verdict, path, evidence} of a component criterion on a ComponentReport.
+
+    'orthogonal-components-split' needs every orthogonal component of Ebar
+    split (the involution is known); 'all-components-split' needs every
+    component split, which settles the criterion for any involution.
+    `evidence` is extended in place with the components, the reason and
+    any blocking component.
+    """
+    evidence = {} if evidence is None else evidence
+    evidence["components"] = comps.to_json()
+    if path == "orthogonal-components-split":
+        ok, blocking = comps.orthogonal_all_split()
+    else:
+        ok, blocking = all(c["splitness"] == "split" for c in comps), None
+    evidence["reason"] = _COMPONENT_REASONS[path][0 if ok else 1]
+    if blocking is not None:
+        evidence["blocking_component"] = dict(blocking)
+    verdict = "guaranteed" if ok else "not-guaranteed-by-criterion"
+    return {"verdict": verdict, "path": path, "evidence": evidence}
+
+
 def hp_verdict(m, form=None):
     """Sufficient-criterion verdict: {verdict, path, evidence}.
 
@@ -1186,40 +1181,12 @@ def hp_verdict(m, form=None):
         gamma = induced_involution(m, form)
         quot = quotient_with_involution(E, rad, gamma.apply_matrix)
         comps = decompose_components(quot.involution)
-        evidence["components"] = comps.to_json()
-        ok, blocking = comps.orthogonal_all_split()
-        if ok:
-            evidence["reason"] = "all orthogonal components split"
-            return {
-                "verdict": "guaranteed",
-                "path": "orthogonal-components-split",
-                "evidence": evidence,
-            }
-        evidence["reason"] = "orthogonal component not known split"
-        evidence["blocking_component"] = dict(blocking)
-        return {
-            "verdict": "not-guaranteed-by-criterion",
-            "path": "orthogonal-components-split",
-            "evidence": evidence,
-        }
+        return verdict_from_components(comps, "orthogonal-components-split", evidence)
     # no form supplied: the criterion can still be settled when every
     # component is split (then orthogonal ones are split for any involution)
     alg = E.algebra()
     coords = [alg.coords_of(M) for M in rad.basis]
     quot = quotient_algebra(alg, coords)
     comps = decompose_components_plain(quot.algebra)
-    all_split = all(c["splitness"] == "split" for c in comps)
-    evidence["components"] = comps.to_json()
-    if all_split:
-        evidence["reason"] = "every component splits, so the criterion holds for any form"
-        return {
-            "verdict": "guaranteed",
-            "path": "all-components-split",
-            "evidence": evidence,
-        }
-    evidence["reason"] = "no form supplied and some component is not known split"
-    return {
-        "verdict": "not-guaranteed-by-criterion",
-        "path": "all-components-split",
-        "evidence": evidence,
-    }
+    return verdict_from_components(comps, "all-components-split", evidence)
+

@@ -338,8 +338,7 @@ def twisted_involution_algebra(inv_alg, u_coords):
     for i in range(d):
         img = A.mult(u_inv, A.mult(inv_alg.apply(A.basis_coords(i)), u_coords))
         cols.append(img)
-    inv_mat = Mat(A.p, [[cols[j][i] for j in range(d)] for i in range(d)])
-    return InvolutionAlgebra(A, inv_mat)
+    return InvolutionAlgebra(A, Mat(A.p, cols).T)
 
 
 def reduced_norm_deg4(alg, u_coords):

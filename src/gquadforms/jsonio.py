@@ -8,7 +8,7 @@ string or the literal `inf`.
 import json
 
 from .errors import InputError
-from .funcfield import Place, RatFunc
+from .funcfield import Place, RatFunc, require_odd_prime
 from .grpalg import GModule, GroupSpec
 from .linalg import Mat
 from .quadform import QuadForm
@@ -28,6 +28,16 @@ def parse_place(p, text):
         raise InputError(f"cannot parse place {text!r}: {exc}") from exc
 
 
+def _prime_from_json(data):
+    """The odd prime under the key "p"; InputError otherwise."""
+    try:
+        p = int(data["p"])
+        require_odd_prime(p)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"'p' must be an odd prime, got {data['p']!r}") from exc
+    return p
+
+
 def mat_from_json(p, rows):
     if not isinstance(rows, list) or not rows:
         raise InputError("matrix must be a nonempty list of rows")
@@ -42,7 +52,7 @@ def quadform_from_json(data):
     """{"p": int, "gram": [[str, ...], ...]}"""
     if "p" not in data or "gram" not in data:
         raise InputError("quadratic form JSON needs 'p' and 'gram'")
-    p = int(data["p"])
+    p = _prime_from_json(data)
     gram = mat_from_json(p, data["gram"])
     if gram.nrows != gram.ncols:
         raise InputError("Gram matrix must be square")
@@ -61,7 +71,7 @@ def gmodule_from_json(data):
     for key in ("p", "generators", "dim", "action"):
         if key not in data:
             raise InputError(f"module JSON misses '{key}'")
-    p = int(data["p"])
+    p = _prime_from_json(data)
     gens = list(data["generators"])
     grp = GroupSpec(p, gens)
     action = {}

@@ -19,7 +19,7 @@ matrix so exact divisibility is preserved.
 
 import numpy as np
 
-from .funcfield import Poly, RatFunc
+from .funcfield import Poly, RatFunc, denominator_lcm
 
 
 class Mat:
@@ -30,10 +30,6 @@ class Mat:
     def __init__(self, p, rows):
         self.p = p
         self.rows = tuple(tuple(r) for r in rows)
-
-    @classmethod
-    def from_rows(cls, p, rows):
-        return cls(p, rows)
 
     @classmethod
     def zeros(cls, p, n, m=None):
@@ -114,9 +110,6 @@ class Mat:
             out.append(row)
         return Mat(self.p, out)
 
-    def scale(self, s):
-        return self * s
-
     @property
     def T(self):
         return Mat(self.p, list(zip(*self.rows)))
@@ -138,16 +131,9 @@ class Mat:
         """Row-major entry list (the fixed flattening order used everywhere)."""
         return [e for r in self.rows for e in r]
 
-    def map(self, fn):
-        return Mat(self.p, [[fn(e) for e in r] for r in self.rows])
-
     def clear_denominators(self):
         """Scale by the lcm of all entry denominators: polynomial entries."""
-        lcm = Poly.one(self.p)
-        for r in self.rows:
-            for e in r:
-                g = lcm.gcd(e.den)
-                lcm = lcm * e.den.exact_div(g)
+        lcm = denominator_lcm(self.flatten())
         if lcm.is_one():
             return self
         return self * RatFunc(lcm)
@@ -254,13 +240,9 @@ class Mat:
         correction = RatFunc.one(p)
         rows = []
         for r in self.rows:
-            lcm = Poly.one(p)
-            for e in r:
-                g = lcm.gcd(e.den)
-                lcm = lcm * e.den.exact_div(g)
-            correction = correction * RatFunc(lcm)
-            scaled = RatFunc(lcm)
-            rows.append([(e * scaled).num for e in r])
+            scale = RatFunc(denominator_lcm(r))
+            correction = correction * scale
+            rows.append([(e * scale).num for e in r])
         d = _bareiss_det(p, rows)
         return RatFunc(d) / correction
 
@@ -272,13 +254,19 @@ class Mat:
         """
         return berkowitz_charpoly(self)
 
-    def charpoly_coeff(self, k):
-        """Coefficient of T^k in det(T*I - M)."""
-        return self.charpoly()[k]
-
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
         return f"Mat[{body}]"
+
+
+def matrix_units(p, n):
+    """The n^2 matrix units E_ij of M_n(k), (i, j) in row-major order."""
+    zero, one = RatFunc.zero(p), RatFunc.one(p)
+    return [
+        Mat(p, [[one if (r, c) == (i, j) else zero for c in range(n)] for r in range(n)])
+        for i in range(n)
+        for j in range(n)
+    ]
 
 
 def _bareiss_det(p, rows):
@@ -361,16 +349,12 @@ def berkowitz_charpoly(M):
     return list(polys[-1])
 
 
-def charpoly_coeff_of_product(X, Y, k):
-    return (X * Y).charpoly_coeff(k)
-
-
 class KSpan:
     """Row space over k with incremental RREF; deterministic basis."""
 
     __slots__ = ("p", "rows", "pivots")
 
-    def __init__(self, p, ncols=None):
+    def __init__(self, p):
         self.p = p
         self.rows = []
         self.pivots = []
@@ -547,21 +531,6 @@ class PolyMat:
             return PolyMat(self.p, out)
         raise TypeError("PolyMat * expects PolyMat")
 
-    def mul_poly(self, f):
-        """Scale by a polynomial (convolution along the degree axis)."""
-        cs = np.asarray(f.coeffs, dtype=np.int64)
-        if cs.size == 0:
-            return PolyMat.zeros(self.p, *self.shape)
-        D = self.arr.shape[0]
-        out = np.zeros((D + cs.size - 1,) + self.arr.shape[1:], dtype=np.int64)
-        for d, c in enumerate(cs):
-            if c:
-                out[d : d + D] = (out[d : d + D] + c * self.arr) % self.p
-        return PolyMat(self.p, out)
-
-    def mul_int(self, c):
-        return PolyMat(self.p, (self.arr * (c % self.p)) % self.p)
-
     @property
     def T(self):
         return PolyMat(self.p, np.swapaxes(self.arr, 1, 2))
@@ -593,18 +562,6 @@ class PolyMat:
             base = base * base
             e >>= 1
         return result
-
-    def entry(self, i, j):
-        return Poly(self.p, [int(self.arr[d, i, j]) for d in range(self.arr.shape[0])])
-
-    def flatten_coeff_vector(self, deg_bound):
-        """Row-major coefficient vector over F_p, padded to deg_bound+1 slices."""
-        D, n, m = self.arr.shape
-        if D > deg_bound + 1:
-            raise ValueError("degree exceeds bound")
-        out = np.zeros((deg_bound + 1, n, m), dtype=np.int64)
-        out[:D] = self.arr
-        return out.reshape(-1)
 
     def __repr__(self):
         n, m = self.shape

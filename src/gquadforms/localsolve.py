@@ -16,7 +16,7 @@ with odd residue characteristic.  Nothing here consults the symbol formula,
 so agreement between the two is a genuine two-route check.
 """
 
-from .funcfield import Place, Poly, quadratic_character, unit_residue, valuation
+from .funcfield import Poly, quadratic_character, unit_residue, valuation
 
 
 def residue_elements(v):

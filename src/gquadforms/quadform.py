@@ -12,7 +12,6 @@ formulas; completions are never materialized.
 from .funcfield import (
     Place,
     RatFunc,
-    SquareClass,
     hilbert_symbol,
     is_local_square,
     support,
@@ -106,9 +105,6 @@ class QuadForm:
                 out *= hilbert_symbol(d[i], d[j], v)
         return out
 
-    def local_invariants(self, v):
-        return (self.rank, is_local_square_class(self.disc(), v), self.hasse_invariant(v))
-
     def direct_sum(self, other):
         p = self.p
         n, m = self.rank, other.rank
@@ -122,9 +118,6 @@ class QuadForm:
         if self._diag is not None and other._diag is not None:
             diag = list(self._diag) + list(other._diag)
         return QuadForm(Mat(p, rows), _diagonal=diag)
-
-    def scale(self, c):
-        return QuadForm(self.gram * c, _diagonal=None)
 
     def __repr__(self):
         return f"QuadForm(rank {self.rank} over F_{self.p}(t))"
@@ -159,12 +152,17 @@ def equivalent_local(q1, q2, v):
 
 def equivalent_global(q1, q2):
     """Hasse-Minkowski over F_p(t): rank, global disc class, and Hasse
-    invariants on the union of bad places decide global equivalence."""
+    invariants on the union of bad places decide global equivalence.
+
+    The places are visited in `Place.sort_key` order, so the short-circuit
+    stops at the same place in every process (set order is not stable:
+    the infinite place hashes `None`).
+    """
     if q1.rank != q2.rank:
         return False
     if q1.disc() != q2.disc():
         return False
-    places = {v for v in q1.bad_places()} | {v for v in q2.bad_places()}
+    places = sorted(set(q1.bad_places()) | set(q2.bad_places()), key=Place.sort_key)
     return all(q1.hasse_invariant(v) == q2.hasse_invariant(v) for v in places)
 
 

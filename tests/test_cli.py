@@ -120,3 +120,24 @@ def test_other_prime(capsys):
     # -1 = 4 is a square mod 5, so (-1, t) splits everywhere
     assert data["product"] == 1
     assert all(s == 1 for _, s in data["symbols"])
+
+
+@pytest.mark.parametrize("argv", [("symbol", "-1", "t"), ("ram", "-1", "t")])
+@pytest.mark.parametrize("p", ["9", "15"])
+def test_composite_p_rejected(capsys, argv, p):
+    code, out, err = run(capsys, *argv, "--p", p)
+    assert code == 2 and out == ""
+    assert "odd prime" in err
+
+
+def test_json_composite_p_rejected(tmp_path, capsys):
+    form = tmp_path / "q.json"
+    form.write_text(json.dumps({"p": 9, "gram": [["1", "0"], ["0", "2"]]}))
+    code, _, err = run(capsys, "qf-equiv", str(form), str(form))
+    assert code == 2
+    assert "odd prime" in err
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"p": 9, "generators": ["g"], "dim": 1, "action": {"g": [["1"]]}}))
+    code, _, err = run(capsys, "hp-check", str(mod))
+    assert code == 2
+    assert "odd prime" in err

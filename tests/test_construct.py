@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from gquadforms.csa import Quaternion
 from gquadforms.errors import InputError
 from gquadforms.funcfield import Place, RatFunc
 from gquadforms.grpalg import direct_tensor_commutant
+from gquadforms.jsonio import dump_json
 from gquadforms.linalg import KSpan, Mat, PolyMat
 from gquadforms.quadform import QuadForm, equivalent_global, is_hyperbolic
 
@@ -182,3 +184,12 @@ def test_pipeline_determinism(pipeline_report, h1, h2):
 
     rep2 = counterexample_pipeline(h1, h2)
     assert report_to_json(pipeline_report) == report_to_json(rep2)
+
+
+def test_pipeline_report_bytes_pinned(pipeline_report):
+    # the bytes `gquadforms counterexample -o FILE` writes for the default inputs
+    text = dump_json(pipeline_report) + "\n"
+    assert (
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        == "4cacf7efc944f793447e50547792583f0d5a970b67b2b56d476827f0348c8f1f"
+    )

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from gquadforms.funcfield import (
     hilbert_symbol,
     is_local_square,
     quadratic_character,
+    require_odd_prime,
     smallest_nonsquare,
     sqrt_of_square,
     square_class,
@@ -230,3 +232,19 @@ def test_sqrt_of_square():
         assert r * r == a * a
     with pytest.raises(ValueError):
         sqrt_of_square(rf("t"))
+
+
+def test_require_odd_prime():
+    for n in range(-2, 3000):
+        odd_prime = n > 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        if odd_prime:
+            require_odd_prime(n)
+        else:
+            with pytest.raises(ValueError):
+                require_odd_prime(n)
+    for p in (2**31 - 1, 10**9 + 7, 10**18 + 9):
+        require_odd_prime(p)
+    # strong pseudoprimes to the bases 2..7 and to the bases 2..23
+    for n in (3215031751, 3825123056546413051, (2**31 - 1) * (10**9 + 7), 3**40):
+        with pytest.raises(ValueError):
+            require_odd_prime(n)

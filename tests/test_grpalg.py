@@ -266,6 +266,41 @@ def test_decompose_single_split_component():
     assert comps[0]["splitness"] == "split"
 
 
+def test_component_splitness_lets_unexpected_errors_through(monkeypatch):
+    import gquadforms.csa
+    from gquadforms.algebra import Algebra
+    from gquadforms.grpalg import decompose_components_plain
+    from gquadforms.linalg import matrix_units
+
+    def broken(alg):
+        raise TypeError("bug inside quaternion extraction")
+
+    monkeypatch.setattr(gquadforms.csa, "quaternion_from_algebra", broken)
+    alg = Algebra.from_matrices(P, matrix_units(P, 2))
+    with pytest.raises(TypeError):
+        decompose_components_plain(alg)
+
+
+def test_library_has_no_broad_exception_handlers():
+    import ast
+    import pathlib
+
+    import gquadforms
+
+    broad = []
+    for path in sorted(pathlib.Path(gquadforms.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(
+                t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException"))
+                for t in types
+            ):
+                broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []
+
+
 # ---------------------------------------------------------------------
 # projectivity and verdicts
 # ---------------------------------------------------------------------

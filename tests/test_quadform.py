@@ -241,3 +241,18 @@ def test_invariants_report_shape():
     assert rep["rank"] == 2
     assert rep["disc"] == "2*t"
     assert ["t", -1] in [[a, b] for a, b in rep["hasse"]]
+
+
+def test_equivalent_global_visits_places_in_sort_order(monkeypatch):
+    seen = []
+    hasse = QuadForm.hasse_invariant
+
+    def recording(self, v):
+        seen.append(v)
+        return hasse(self, v)
+
+    monkeypatch.setattr(QuadForm, "hasse_invariant", recording)
+    q = diag("t", "t+1", "t+2", "t^2+1", "t^2+t+2", "t^2+2*t+2", "t^3+2*t+1")
+    assert equivalent_global(q, q)
+    assert set(seen) == set(q.bad_places())
+    assert seen == sorted(seen, key=Place.sort_key)
