@@ -351,10 +351,7 @@ def tensor_pair(b1, b2):
     diag = [x * y for x in d1 for y in d2]
     q = QuadForm(gram, _diagonal=diag)
     # E basis: Kronecker products; verified to commute with all six generators
-    clear = [M.clear_denominators() for M in b1.end_algebra.basis]
-    clear2 = [M.clear_denominators() for M in b2.end_algebra.basis]
-    pm1 = [PolyMat.from_mat(M) for M in clear]
-    pm2 = [PolyMat.from_mat(M) for M in clear2]
+    pm1, pm2 = b1.end_algebra.poly_basis(), b2.end_algebra.poly_basis()
     tensor_basis = [x.kron(y) for x in pm1 for y in pm2]
     pa = N.poly_action()
     for X in tensor_basis:

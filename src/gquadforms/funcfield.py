@@ -51,13 +51,16 @@ def require_odd_prime(p):
 
 @functools.cache
 def smallest_nonsquare(p):
-    """Smallest positive nonsquare residue mod p (the fixed SquareClass unit)."""
+    """Smallest positive nonsquare residue mod p (the fixed SquareClass unit).
+
+    Euler's criterion on 2, 3, ...; the first nonsquare is O(log^2 p)
+    under GRH and small in practice, so this never walks the residues.
+    """
     require_odd_prime(p)
-    squares = {pow(x, 2, p) for x in range(1, p)}
-    for c in range(2, p):
-        if c not in squares:
-            return c
-    raise AssertionError("every odd prime has a nonsquare")
+    c = 2
+    while is_square_mod(c, p):
+        c += 1
+    return c
 
 
 def is_square_mod(a, p):
@@ -194,7 +197,8 @@ class Poly:
         if len(b) == 1:
             c = b[0]
             return Poly(p, [c * x for x in a])
-        if len(a) + len(b) > _CONV_THRESHOLD:
+        # int64 convolution is exact while every output sum stays below 2^63
+        if len(a) + len(b) > _CONV_THRESHOLD and min(len(a), len(b)) * (p - 1) ** 2 < 2**63:
             out = np.convolve(
                 np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
             )
@@ -528,9 +532,19 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        """num/den in lowest terms with a monic denominator.
+
+        A polynomial value (den omitted or 1) is stored as given, with no
+        gcd: gcd(num, 1) = 1 and 1 is already monic, so the general path
+        would return exactly the same pair.
+        """
         p = num.p
         if den is None:
             den = Poly.one(p)
+        if den.is_one():
+            self.num = num
+            self.den = den
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -909,12 +923,28 @@ def square_class(a):
 
 
 def sqrt_mod(c, p):
-    """Square root of a square residue mod p (small-p search)."""
+    """The smaller of the two square roots of a square residue mod p.
+
+    Tonelli-Shanks: O(log^2 p) multiplications for an odd prime p.
+    """
     c %= p
-    for x in range(p):
-        if (x * x) % p == c:
-            return x
-    raise ValueError(f"{c} is not a square mod {p}")
+    if c == 0:
+        return 0
+    if not is_square_mod(c, p):
+        raise ValueError(f"{c} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = pow(smallest_nonsquare(p), q, p)
+    x, t = pow(c, (q + 1) // 2, p), pow(c, q, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then x*b squares to c with t*b^2 closer to 1
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(z, 1 << (s - i - 1), p)
+        x, z, t, s = x * b % p, b * b % p, t * b * b % p, i
+    return min(x, p - x)
 
 
 def sqrt_of_square(a):

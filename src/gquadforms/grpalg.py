@@ -171,7 +171,7 @@ def check_module(m):
 class EndAlgebra:
     """End_{k[G]}(V) as a list of spanning matrices (RREF-normalized)."""
 
-    __slots__ = ("p", "n", "basis", "tensor_factors", "_algebra", "_span")
+    __slots__ = ("p", "n", "basis", "tensor_factors", "_algebra", "_span", "_poly_basis")
 
     def __init__(self, p, n, basis, tensor_factors=None):
         self.p = p
@@ -180,6 +180,7 @@ class EndAlgebra:
         self.tensor_factors = tensor_factors
         self._algebra = None
         self._span = None
+        self._poly_basis = None
 
     @property
     def dim(self):
@@ -204,7 +205,14 @@ class EndAlgebra:
         if self._algebra is None:
             self._algebra = Algebra.from_matrices(self.p, self.basis)
             self.basis = self._algebra.matrices
+            self._poly_basis = None
         return self._algebra
+
+    def poly_basis(self):
+        """The basis as denominator-cleared PolyMats (converted once)."""
+        if self._poly_basis is None:
+            self._poly_basis = poly_mats(self.basis)
+        return self._poly_basis
 
     def verify_closure(self):
         """Multiplicative closure and the identity, checked on all pairs."""
@@ -623,6 +631,11 @@ def complement_lifts(p, sub_basis, full_basis):
     return out
 
 
+def poly_mats(mats):
+    """Denominator-cleared PolyMat of each Mat (a scalar multiple of it)."""
+    return [PolyMat.from_mat(M.clear_denominators()) for M in mats]
+
+
 def _tensor_radical(E):
     """Radical of E1 (x) E2 as the ideal generated by R1 and R2 (factored).
 
@@ -642,18 +655,9 @@ def _tensor_radical(E):
     if len(lifts1) + rad1.dim != E1.dim:
         raise CertificateError("factor complement has wrong dimension")
 
-    def pm(M):
-        return PolyMat.from_mat(M.clear_denominators())
-
-    basis = []
-    for r in rad1.basis:
-        rr = pm(r)
-        for e in E2.basis:
-            basis.append(rr.kron(pm(e)).to_mat())
-    for l in lifts1:
-        ll = pm(l)
-        for r in rad2.basis:
-            basis.append(ll.kron(pm(r)).to_mat())
+    e2, r2 = E2.poly_basis(), poly_mats(rad2.basis)
+    basis = [r.kron(e).to_mat() for r in poly_mats(rad1.basis) for e in e2]
+    basis += [l.kron(r).to_mat() for l in poly_mats(lifts1) for r in r2]
     expected = rad1.dim * E2.dim + len(lifts1) * rad2.dim
     if len(basis) != expected:
         raise CertificateError("tensor radical dimension mismatch")

@@ -7,8 +7,9 @@ Two representations coexist:
   solves up to a few dozen rows and for anything with denominators.
 * `PolyMat` — an int64 ndarray of coefficient slices (D, rows, cols) for
   matrices with polynomial entries; products run through float64 BLAS
-  (entries stay far below 2^53) and are reduced mod p afterwards.  This is
-  what makes the 64-dimensional tensor computations cheap.
+  while their sums stay below 2^53 (int64 or Python integers above) and
+  are reduced mod p afterwards.  This is what makes the 64-dimensional
+  tensor computations cheap.
 
 Charpoly is Berkowitz (division-free: correct in characteristic p).
 Symmetric diagonalization is fraction-free via leading principal minors
@@ -452,14 +453,21 @@ class PolyMat:
         return cls(M.p, arr)
 
     def to_mat(self):
+        """Exact conversion to a Mat whose entries are shared immutable RatFuncs.
+
+        One RatFunc is built per distinct coefficient column of `arr` and
+        reused at every position holding that polynomial (hash-consing), so
+        a Kronecker product of sparse factors costs a handful of
+        constructions, not one per entry.
+        """
         D, n, m = self.arr.shape
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                row.append(RatFunc(Poly(self.p, [int(self.arr[d, i, j]) for d in range(D)])))
-            rows.append(row)
-        return Mat(self.p, rows)
+        cols = np.ascontiguousarray(self.arr.reshape(D, n * m).T)
+        # one opaque D*8-byte key per entry: equal keys, equal polynomials
+        keys = cols.view(np.dtype((np.void, cols.itemsize * D))).reshape(-1)
+        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+        values = [RatFunc(Poly(self.p, c)) for c in cols[first].tolist()]
+        flat = [values[k] for k in index.tolist()]
+        return Mat(self.p, [flat[i * m : (i + 1) * m] for i in range(n)])
 
     @classmethod
     def identity(cls, p, n):
@@ -508,15 +516,23 @@ class PolyMat:
         return self + (-other)
 
     def __mul__(self, other):
-        """Matrix product via per-degree float64 BLAS; exact below 2^53."""
+        """Matrix product, one `@` per pair of degree slices, always exact.
+
+        Each slice product sums kk terms below (p-1)^2: float64 BLAS while
+        that stays below 2^53, int64 while it stays below 2^63, and Python
+        integers (object dtype) beyond.
+        """
         if isinstance(other, PolyMat):
+            p = self.p
             Da, Db = self.arr.shape[0], other.arr.shape[0]
             n, kk = self.shape
             k2, m = other.shape
             if kk != k2:
                 raise ValueError("PolyMat dimension mismatch")
-            A = self.arr.astype(np.float64)
-            B = other.arr.astype(np.float64)
+            bound = kk * (p - 1) ** 2
+            dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+            A = self.arr.astype(dtype)
+            B = other.arr.astype(dtype)
             out = np.zeros((Da + Db - 1, n, m), dtype=np.int64)
             for i in range(Da):
                 Ai = A[i]
@@ -527,8 +543,10 @@ class PolyMat:
                     if not Bj.any():
                         continue
                     prod = Ai @ Bj
-                    out[i + j] = (out[i + j] + prod.astype(np.int64)) % self.p
-            return PolyMat(self.p, out)
+                    if dtype is not np.float64:
+                        prod = prod % p
+                    out[i + j] = (out[i + j] + prod.astype(np.int64)) % p
+            return PolyMat(p, out)
         raise TypeError("PolyMat * expects PolyMat")
 
     @property
@@ -536,18 +554,22 @@ class PolyMat:
         return PolyMat(self.p, np.swapaxes(self.arr, 1, 2))
 
     def kron(self, other):
-        Da, Db = self.arr.shape[0], other.arr.shape[0]
+        p = self.p
+        A, B = self.arr, other.arr
+        if (p - 1) ** 2 >= 2**63:  # entry products would overflow int64
+            A, B = A.astype(object), B.astype(object)
+        Da, Db = A.shape[0], B.shape[0]
         n, m = self.shape
         r, c = other.shape
         out = np.zeros((Da + Db - 1, n * r, m * c), dtype=np.int64)
         for i in range(Da):
-            if not self.arr[i].any():
+            if not A[i].any():
                 continue
             for j in range(Db):
-                if not other.arr[j].any():
+                if not B[j].any():
                     continue
-                out[i + j] = (out[i + j] + np.kron(self.arr[i], other.arr[j])) % self.p
-        return PolyMat(self.p, out)
+                out[i + j] = (out[i + j] + np.kron(A[i], B[j]) % p) % p
+        return PolyMat(p, out)
 
     def trace(self):
         D = self.arr.shape[0]

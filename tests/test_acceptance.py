@@ -179,7 +179,7 @@ def test_criterion_09_counterexample_end_state(h1, h2):
         "pair (q, q'): locally G-equivalent everywhere, globally G-inequivalent, "
         "plain forms Hasse-Minkowski equivalent",
         t0,
-        1200,
+        300,
     )
 
 

@@ -14,6 +14,7 @@ from gquadforms.funcfield import (
     quadratic_character,
     require_odd_prime,
     smallest_nonsquare,
+    sqrt_mod,
     sqrt_of_square,
     square_class,
     support,
@@ -108,6 +109,36 @@ def test_ratfunc_canonical_form():
     a = RatFunc(poly("2*t^2+2*t"), poly("2*t"))
     assert str(a) == "t+1"
     assert rf("t/t").is_one()
+
+
+BIG = 2**31 - 1
+
+coeff_lists = st.lists(st.integers(0, BIG - 1), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([P, BIG]), coeff_lists, coeff_lists)
+def test_ratfunc_polynomial_fast_path(p, num_coeffs, g_coeffs):
+    num = Poly(p, num_coeffs)
+    for r in (RatFunc(num), RatFunc(num, Poly.one(p))):
+        assert r.num == num and r.den == Poly.one(p)  # num kept, even non-monic
+    g = Poly(p, g_coeffs[:-1] + [1]) if g_coeffs else Poly.one(p)  # random monic
+    general = RatFunc(num * g, g)
+    assert general == RatFunc(num)
+    assert hash(general) == hash(RatFunc(num))
+
+
+@pytest.mark.parametrize("p", [P, BIG, 2**61 - 1])
+def test_poly_mul_exact_at_any_prime(p):
+    rng = random.Random(p)
+    for la, lb in ((15, 15), (2, 40), (30, 31)):  # all above the convolution threshold
+        a = [rng.randrange(1, p) for _ in range(la)]
+        b = [rng.randrange(1, p) for _ in range(lb)]
+        want = [0] * (la + lb - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                want[i + j] += x * y
+        assert Poly(p, a) * Poly(p, b) == Poly(p, want)
 
 
 def test_valuation_spec_examples():
@@ -232,6 +263,32 @@ def test_sqrt_of_square():
         assert r * r == a * a
     with pytest.raises(ValueError):
         sqrt_of_square(rf("t"))
+
+
+def test_square_helpers_match_brute_force():
+    for p in range(3, 500, 2):
+        if any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        roots = {}
+        for x in range(p):
+            roots.setdefault(x * x % p, x)  # the smaller root of each square
+        assert smallest_nonsquare(p) == min(c for c in range(1, p) if c not in roots)
+        for c in range(p):
+            if c in roots:
+                assert sqrt_mod(c, p) == roots[c]
+            else:
+                with pytest.raises(ValueError):
+                    sqrt_mod(c, p)
+
+
+def test_square_helpers_at_large_prime():
+    p = 2**61 - 1
+    c = smallest_nonsquare(p)
+    assert pow(c, (p - 1) // 2, p) == p - 1
+    assert all(pow(a, (p - 1) // 2, p) == 1 for a in range(2, c))
+    for x in (2, 12345678901, p - 3):
+        r = sqrt_mod(x * x, p)
+        assert r * r % p == x * x % p and r <= p - r
 
 
 def test_require_odd_prime():

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gquadforms.funcfield import Poly, RatFunc
 from gquadforms.linalg import (
@@ -89,6 +90,61 @@ def test_polymat_agrees_with_mat():
     assert (PX**3).to_mat() == X * X * X
     assert PX.kron(PY).to_mat() == X.kron(Y)
     assert PX.trace() == (X.trace()).num
+
+
+BIG = 2**31 - 1
+
+
+@st.composite
+def polymats(draw):
+    """PolyMat over F_3 or F_BIG, coefficients drawn from a small pool so
+    that equal entries repeat and the interned values are shared."""
+    p = draw(st.sampled_from([P, BIG]))
+    D, n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
+    coeffs = draw(st.lists(st.sampled_from(pool), min_size=D * n * m, max_size=D * n * m))
+    return PolyMat(p, np.array(coeffs, dtype=np.int64).reshape(D, n, m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polymats())
+@example(PolyMat.zeros(P, 4, 3))
+@example(PolyMat(P, np.array([[[1, 2], [0, 2]]])))
+@example(PolyMat(BIG, np.array([[[1, 0]], [[0, 5]], [[0, 0]], [[7, BIG - 1]]])))
+def test_to_mat_matches_entrywise_construction(X):
+    D, n, m = X.arr.shape
+    M = X.to_mat()
+    assert (M.nrows, M.ncols) == (n, m)
+    built = {}
+    for i in range(n):
+        for j in range(m):
+            e = M[i, j]
+            assert e == RatFunc(Poly(X.p, [int(X.arr[d, i, j]) for d in range(D)]))
+            assert built.setdefault(e, e) is e  # equal entries are one object
+    assert PolyMat.from_mat(M) == X
+
+
+def _exact_product(X, Y):
+    """Coefficient array of X * Y in Python integers (object dtype)."""
+    A, B = X.arr.astype(object), Y.arr.astype(object)
+    out = np.zeros((A.shape[0] + B.shape[0] - 1, A.shape[1], B.shape[2]), dtype=object)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[0]):
+            out[i + j] += A[i] @ B[j]
+    return out % X.p
+
+
+@pytest.mark.parametrize(
+    "p", [P, 100_000_007, BIG, 2**61 - 1]  # float64, int64, object, object
+)
+def test_polymat_mul_and_kron_exact_at_any_prime(p):
+    rng = np.random.default_rng(p % 1000)
+    n = 64
+    X = PolyMat(p, rng.integers(0, p, (2, n, n), dtype=np.int64))
+    Y = PolyMat(p, rng.integers(0, p, (2, n, n), dtype=np.int64))
+    assert np.array_equal((X * Y).arr, _exact_product(X, Y).astype(np.int64))
+    x, y = PolyMat(p, X.arr[:, :3, :2]), PolyMat(p, Y.arr[:, :2, :3])
+    assert x.kron(y).to_mat() == x.to_mat().kron(y.to_mat())  # RatFunc oracle
 
 
 def test_polymat_rejects_denominators():

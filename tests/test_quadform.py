@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -256,3 +257,14 @@ def test_equivalent_global_visits_places_in_sort_order(monkeypatch):
     assert equivalent_global(q, q)
     assert set(seen) == set(q.bad_places())
     assert seen == sorted(seen, key=Place.sort_key)
+
+
+def test_invariants_report_at_large_prime():
+    # the disc carries the nonsquare unit, so the report needs smallest_nonsquare
+    p = 10_000_019
+    t0 = time.perf_counter()
+    q = QuadForm.from_diagonal(p, [RatFunc.from_string(p, s) for s in ("t", "2", "t^2+1")])
+    rep = invariants_report(q)
+    assert time.perf_counter() - t0 < 1.0
+    assert q.disc().nonsquare_unit  # 2 is a nonsquare mod p (p = 3 mod 8)
+    assert rep["rank"] == 3 and rep["disc"] == "2*t^3+2*t"
