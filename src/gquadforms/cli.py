@@ -133,8 +133,9 @@ def cmd_hp_check(args):
             raise InputError("form and module live over different primes")
     if m.dim > 32 and not m.is_constant():
         raise InputError(
-            "hp-check handles modules of dimension <= 32 with non-constant "
-            "entries; use the counterexample pipeline for the tensor case"
+            "hp-check handles modules of dimension <= 32 unless the entries are "
+            "F_p constants and dim (p-1)^2 < 2^63; use the counterexample "
+            "pipeline for the tensor case"
         )
     verdict = hp_verdict(m, form)
     _emit(verdict, args)

@@ -36,6 +36,7 @@ from .grpalg import (
     endomorphism_algebra,
     jacobson_radical,
     quotient_with_involution,
+    require_semisimple,
     verdict_from_components,
 )
 from .hermitian import (
@@ -398,10 +399,7 @@ def tensor_pair(b1, b2):
     gbar = InvolutionAlgebra(Ebar, Mat(p, cols).T)
     if gbar.kind() != "orthogonal" or gbar.sym_dim() != 10:
         raise CertificateError("tensor quotient involution is not orthogonal of Sym-dim 10")
-    from .grpalg import _radical_chain_mats
-
-    if _radical_chain_mats(p, Ebar.dim, Ebar.regular_representation()):
-        raise CertificateError("tensor quotient is not semisimple")
+    require_semisimple(Ebar, "tensor quotient is not semisimple")
     # gamma = gamma1 (x) gamma2 = adjoint of the Kronecker Gram; the adjoint
     # identity is inherited from the factors through Kronecker bilinearity,
     # and is re-verified here on the generators

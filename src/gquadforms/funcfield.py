@@ -189,8 +189,10 @@ class Poly:
     def __mul__(self, other):
         p = self.p
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(p)
+        if not a:
+            return self
+        if not b:
+            return other
         if len(a) == 1:
             c = a[0]
             return Poly(p, [c * x for x in b])

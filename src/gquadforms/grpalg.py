@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import Algebra, InvolutionAlgebra, quotient_algebra
 from .errors import CertificateError, ExtractionError, InputError, UnsupportedCenterError
 from .funcfield import Poly, RatFunc, denominator_lcm
-from .linalg import KSpan, Mat, PolyMat, matrix_units, modp_nullspace
+from .linalg import KSpan, Mat, PolyMat, int64_stack, matrix_units, modp_nullspace
 
 
 class GroupSpec:
@@ -96,12 +96,8 @@ class GModule:
         return self._poly_action
 
     def is_constant(self):
-        return all(
-            e.is_polynomial() and e.num.degree <= 0
-            for M in self.action.values()
-            for row in M.rows
-            for e in row
-        )
+        """Every action entry is an F_p constant within the int64 mod-p range."""
+        return int64_stack(self.p, list(self.action.values())) is not None
 
     def conjugate(self, P):
         """Same module in a new basis: actions P^{-1} A P."""
@@ -232,45 +228,37 @@ class EndAlgebra:
         return f"EndAlgebra(dim {self.dim} in M_{self.n})"
 
 
-def endomorphism_algebra(m, verify=True):
-    """Basis of {X : X g = g X for every generator action g}, by exact solve."""
+def endomorphism_algebra(m):
+    """Basis of {X : X g = g X for every generator action g}, by exact solve,
+    with its multiplicative closure verified."""
     report = check_module(m)
     report.raise_if_invalid()
     p, n = m.p, m.dim
-    if m.is_constant():
-        basis = _commutant_constant(m)
+    actions = [m.action[g] for g in m.group.generators]
+    stack = int64_stack(p, actions)
+    if not actions:
+        basis = matrix_units(p, n)
+    elif stack is not None:
+        basis = _commutant_constant(p, n, stack)
     else:
-        basis = _commutant_generic(m)
+        basis = commutant_of_matrices(p, n, actions)
     E = EndAlgebra(p, n, basis)
-    if verify:
-        E.verify_closure()
+    E.verify_closure()
     return E
 
 
-def _commutant_constant(m):
-    """numpy fast path: constant actions give an F_p-defined solution space."""
-    p, n = m.p, m.dim
-    if not m.group.generators:
-        return matrix_units(p, n)
+def _commutant_constant(p, n, actions):
+    """numpy fast path: constant actions (an `int64_stack`) give an
+    F_p-defined solution space."""
     ident = np.eye(n, dtype=np.int64)
     blocks = []
-    for g in m.group.generators:
-        A = np.array(
-            [[int(e.num.coeffs[0]) if e.num.coeffs else 0 for e in row] for row in m.action[g].rows],
-            dtype=np.int64,
-        )
+    for A in actions:
         # X A - A X = 0  <=>  (A^T kron I - I kron A) vec(X) = 0 (row-major vec)
-        blocks.append(np.kron(ident, A.T % p) - np.kron(A % p, ident))
+        blocks.append(np.kron(ident, A.T) - np.kron(A, ident))
     system = np.concatenate(blocks, axis=0) % p
     null_rows = modp_nullspace(system, p)
     basis = [Mat.from_int_rows(p, row.reshape(n, n).tolist()) for row in null_rows]
     return _rref_matrices(p, basis)
-
-
-def _commutant_generic(m):
-    if not m.group.generators:
-        return matrix_units(m.p, m.dim)
-    return commutant_of_matrices(m.p, m.dim, [m.action[g] for g in m.group.generators])
 
 
 def commutant_of_matrices(p, n, mats):
@@ -390,13 +378,6 @@ class RadicalResult:
         return f"RadicalResult(dim {self.dim})"
 
 
-def _charpoly_coeff_chain_value(Z, n, q):
-    """e_q-type cut value: coefficient of T^(n-q) in charpoly(Z); trace for q=1."""
-    if q == 1:
-        return Z.trace()
-    return Z.charpoly()[n - q]
-
-
 def _semilinear_nullspace(p, gram, q):
     """All c in k^N with sum_m c_m^q gram[m][j] = 0 for each j.
 
@@ -424,22 +405,24 @@ def _semilinear_nullspace(p, gram, q):
     return Mat(p, rows).nullspace()
 
 
-def _radical_chain_mats(p, n, basis):
-    """The charpoly-coefficient chain on a list of carrier matrices."""
-    level = 0
-    while p ** (level + 1) <= n:
-        level += 1
-    J = list(basis)
-    for i in range(level + 1):
-        if not J:
-            break
-        q = p**i
-        N = len(J)
-        gram = [[None] * N for _ in range(N)]
-        for a in range(N):
-            for b in range(N):
-                gram[a][b] = _charpoly_coeff_chain_value(J[a] * J[b], n, q)
-        combos = _semilinear_nullspace(p, gram, q)
+def _radical_chain(p, n, mats):
+    """Basis of the Jacobson radical of the algebra spanned by `mats`.
+
+    The characteristic-p chain of Cohen, Ivanyos and Wales, "Finding the
+    radical of an algebra of linear transformations", J. Pure Appl. Algebra
+    117-118 (1997), on n x n carrier matrices (see the module docstring):
+    one level per q = 1, p, p^2, ... <= n, each a semilinear solve on the
+    Gram of cut values, one combination, an RREF normalisation and an exact
+    recheck of every new element against the previous level.
+
+    The domains fork only in `_cut_values`: int64 numpy while `int64_stack`
+    accepts the matrices (F_p constants with n (p-1)^2 < 2^63), exact Mat
+    arithmetic otherwise.  Both give the same values, hence the same basis.
+    """
+    J = list(mats)
+    q = 1
+    while J:
+        combos = _semilinear_nullspace(p, _cut_values(p, n, q, J, J), q)
         newJ = []
         for combo in combos:
             X = Mat.zeros(p, n, J[0].ncols)
@@ -449,70 +432,39 @@ def _radical_chain_mats(p, n, basis):
             newJ.append(X)
         newJ = _rref_matrices(p, newJ)
         # exact recheck: every chain element really satisfies the cut
-        for X in newJ:
-            for Y in J:
-                val = _charpoly_coeff_chain_value(X * Y, n, q)
-                if not val.is_zero():
-                    raise CertificateError(
-                        "semilinear solve returned a non-solution; chain aborted"
-                    )
+        if any(not v.is_zero() for row in _cut_values(p, n, q, newJ, J) for v in row):
+            raise CertificateError("semilinear solve returned a non-solution; chain aborted")
         J = newJ
+        q *= p
+        if q > n:
+            break
     return J
 
 
-def _radical_chain_constant(p, n, basis):
-    """numpy fast path of the chain for constant carrier matrices."""
-    level = 0
-    while p ** (level + 1) <= n:
-        level += 1
-    mats = [
-        np.array(
-            [[int(e.num.coeffs[0]) if e.num.coeffs else 0 for e in row] for row in M.rows],
-            dtype=np.int64,
-        )
-        for M in basis
-    ]
-    for i in range(level + 1):
-        if not mats:
-            break
-        q = p**i
-        N = len(mats)
-        stacked = np.stack(mats)
-        prods = np.einsum("aij,bjk->abik", stacked, stacked) % p
-        vals = _batched_charpoly_coeff(prods.reshape(N * N, n, n), n, q, p)
-        gram = vals.reshape(N, N)
-        # constant coefficients lie in F_p = (F_p)^q, so the semilinear solve
-        # degenerates to a plain F_p nullspace (c^q = c on F_p coordinates
-        # composed with Frobenius-stable solution spaces)
-        null = modp_nullspace(gram.T % p, p)
-        newmats = []
-        for combo in null:
-            X = np.zeros((n, n), dtype=np.int64)
-            for c, M in zip(combo, mats):
-                if c:
-                    X = (X + int(c) * M) % p
-            newmats.append(X)
-        # RREF-normalize
-        if newmats:
-            flat = np.stack([X.reshape(-1) for X in newmats])
-            from .linalg import modp_rref
+def _cut_values(p, n, q, xs, ys):
+    """[[e_q(X Y) for Y in ys] for X in xs]: the coefficient of T^(n-q) in
+    charpoly(X Y), the trace for q = 1.
 
-            R, piv = modp_rref(flat, p)
-            newmats = [R[r].reshape(n, n) for r in range(len(piv))]
-        # recheck
-        for X in newmats:
-            for Y in mats:
-                Z = (X @ Y) % p
-                if int(_batched_charpoly_coeff(Z[None], n, q, p)[0]) % p != 0:
-                    raise CertificateError("constant chain recheck failed")
-        mats = newmats
-    return [Mat.from_int_rows(p, M.tolist()) for M in mats]
+    When `int64_stack` accepts the matrices, the whole block of products
+    and charpolys is one einsum and one batched Berkowitz call in int64;
+    otherwise each value is an exact Mat product and `Mat.charpoly`.
+    """
+    stack = int64_stack(p, xs + ys)
+    if stack is None:
+        if q == 1:
+            return [[(X * Y).trace() for Y in ys] for X in xs]
+        return [[(X * Y).charpoly()[n - q] for Y in ys] for X in xs]
+    prods = np.einsum("aij,bjk->abik", stack[: len(xs)], stack[len(xs) :]) % p
+    vals = _batched_charpoly_coeff(prods.reshape(-1, n, n), n, q, p)
+    return [[RatFunc.from_int(p, int(v)) for v in row] for row in vals.reshape(len(xs), len(ys))]
 
 
 def _batched_charpoly_coeff(Zs, n, q, p):
     """Coefficient of T^(n-q) of charpoly for a batch (B, n, n), mod p.
 
-    Batched Berkowitz; division-free, so valid in characteristic p.
+    Batched Berkowitz; division-free, so valid in characteristic p.  Exact
+    in int64 for residues with n (p-1)^2 < 2^63, the range `int64_stack`
+    admits.
     """
     B = Zs.shape[0]
     if q == 1:
@@ -544,7 +496,7 @@ def _batched_charpoly_coeff(Zs, n, q, p):
     return polys[:, q] % p
 
 
-def jacobson_radical(E, certify=True):
+def jacobson_radical(E):
     """Radical of an EndAlgebra, with certificate.
 
     Tensor-built algebras use the structural ideal generated by the factor
@@ -553,19 +505,15 @@ def jacobson_radical(E, certify=True):
     """
     if E.tensor_factors is not None:
         return _tensor_radical(E)
-    p, n = E.p, E.n
-    constant = all(
-        e.is_polynomial() and e.num.degree <= 0
-        for M in E.basis
-        for row in M.rows
-        for e in row
-    )
-    if constant:
-        rad = _radical_chain_constant(p, n, E.basis)
-    else:
-        rad = _radical_chain_mats(p, n, E.basis)
-    cert = certify_radical(E, rad) if certify else None
-    return RadicalResult(rad, cert)
+    rad = _radical_chain(E.p, E.n, E.basis)
+    return RadicalResult(rad, certify_radical(E, rad))
+
+
+def require_semisimple(alg, message):
+    """CertificateError(message) unless the radical of `alg` is zero
+    (the chain on its regular representation)."""
+    if _radical_chain(alg.p, alg.dim, alg.regular_representation()):
+        raise CertificateError(message)
 
 
 def certify_radical(E, rad_basis):
@@ -606,9 +554,7 @@ def certify_radical(E, rad_basis):
     if any(c is None for c in coords):
         raise CertificateError("radical basis escaped the algebra span")
     quot = quotient_algebra(alg, coords)
-    qrad = _radical_chain_mats(p, quot.algebra.dim, quot.algebra.regular_representation())
-    if qrad:
-        raise CertificateError("quotient by the radical candidate is not semisimple")
+    require_semisimple(quot.algebra, "quotient by the radical candidate is not semisimple")
     if alg.dim != len(rad_basis) + quot.algebra.dim:
         raise CertificateError("dimension bookkeeping failed in radical certificate")
     return {
@@ -807,9 +753,11 @@ def _minimal_polynomial(alg, z):
 def _poly_roots_in_k(p, coeffs):
     """All roots in k = F_p(t) of a monic polynomial with RatFunc coefficients.
 
-    Clears denominators and enumerates candidate roots u/w by Gauss's lemma
-    over the PID F_p[t] (u divides the constant term, w divides the leading
-    coefficient, up to constants); every candidate is verified by exact
+    Clears denominators and enumerates candidate roots c u/w by Gauss's
+    lemma over the PID F_p[t] (u divides the constant term, w divides the
+    leading coefficient, c in F_p^*).  The constants c are the common roots
+    over F_p of the t-coefficients of w^deg f(c u/w), polynomials in c, so the
+    work does not grow with p; every candidate is verified by exact
     substitution, so the output is complete and correct.
     """
     scale = RatFunc(denominator_lcm(coeffs))
@@ -834,11 +782,19 @@ def _poly_roots_in_k(p, coeffs):
             divs = [d * pi**i for d in divs for i in range(e + 1)]
         return divs
 
+    deg = len(polys) - 1
     candidates = set()
     for u in monic_divisors(const):
         for w in monic_divisors(lead):
-            for c in range(1, p):
-                candidates.add(RatFunc(u.scale(c), w))
+            # w^deg f(c u/w) = sum_i c^i polys[i] u^i w^(deg-i); its c^deg term
+            # polys[deg] u^deg is nonzero, so the gcd g below is too
+            terms = [f * u**i * w ** (deg - i) for i, f in enumerate(polys)]
+            g = Poly.zero(p)
+            for k in range(max(len(b.coeffs) for b in terms)):
+                g = g.gcd(Poly(p, [b.coeffs[k] if k < len(b.coeffs) else 0 for b in terms]))
+            for h, _ in g.factor()[1]:
+                if h.degree == 1:
+                    candidates.add(RatFunc(u.scale(-h.coeffs[0]), w))
     for cand in sorted(candidates, key=lambda r: r.sort_key()):
         acc = zero
         powv = RatFunc.one(p)
@@ -950,14 +906,10 @@ def _component_splitness(sub, sub_inv=None, kind=None):
     return "unknown", None
 
 
-def decompose_components(inv_alg, radical_check=True):
+def decompose_components(inv_alg):
     """Split a semisimple algebra-with-involution into involution classes."""
     alg = inv_alg.algebra
-    p = alg.p
-    if radical_check:
-        rad = _radical_chain_mats(p, alg.dim, alg.regular_representation())
-        if rad:
-            raise CertificateError("decompose_components expects a semisimple algebra")
+    require_semisimple(alg, "decompose_components expects a semisimple algebra")
     idempotents = _central_idempotents(alg)
     used = [False] * len(idempotents)
     comps = []
@@ -994,13 +946,9 @@ def decompose_components(inv_alg, radical_check=True):
     return ComponentReport(comps)
 
 
-def decompose_components_plain(alg, radical_check=True):
+def decompose_components_plain(alg):
     """Component splitness without involution data (kinds unavailable)."""
-    p = alg.p
-    if radical_check:
-        rad = _radical_chain_mats(p, alg.dim, alg.regular_representation())
-        if rad:
-            raise CertificateError("decompose_components expects a semisimple algebra")
+    require_semisimple(alg, "decompose_components expects a semisimple algebra")
     comps = []
     for e in _central_idempotents(alg):
         sub, _ = _component_subalgebra(alg, e)

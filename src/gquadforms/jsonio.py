@@ -8,7 +8,7 @@ string or the literal `inf`.
 import json
 
 from .errors import InputError
-from .funcfield import Place, RatFunc, require_odd_prime
+from .funcfield import RatFunc, require_odd_prime
 from .grpalg import GModule, GroupSpec
 from .linalg import Mat
 from .quadform import QuadForm
@@ -19,13 +19,6 @@ def parse_ratfunc(p, text):
         return RatFunc.from_string(p, text)
     except (ValueError, IndexError) as exc:
         raise InputError(f"cannot parse rational function {text!r}: {exc}") from exc
-
-
-def parse_place(p, text):
-    try:
-        return Place.from_string(p, text)
-    except (ValueError, IndexError) as exc:
-        raise InputError(f"cannot parse place {text!r}: {exc}") from exc
 
 
 def _prime_from_json(data):
@@ -44,10 +37,6 @@ def mat_from_json(p, rows):
     return Mat(p, [[parse_ratfunc(p, e) for e in row] for row in rows])
 
 
-def mat_to_json(M):
-    return [[str(e) for e in row] for row in M.rows]
-
-
 def quadform_from_json(data):
     """{"p": int, "gram": [[str, ...], ...]}"""
     if "p" not in data or "gram" not in data:
@@ -60,10 +49,6 @@ def quadform_from_json(data):
         return QuadForm(gram)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def quadform_to_json(q):
-    return {"p": q.p, "gram": mat_to_json(q.gram)}
 
 
 def gmodule_from_json(data):
@@ -83,28 +68,6 @@ def gmodule_from_json(data):
     if m.dim != int(data["dim"]):
         raise InputError("declared dim does not match the action matrices")
     return m
-
-
-def gmodule_to_json(m):
-    return {
-        "p": m.p,
-        "generators": list(m.group.generators),
-        "dim": m.dim,
-        "action": {g: mat_to_json(M) for g, M in m.action.items()},
-    }
-
-
-def quaternion_from_json(p, data):
-    """{"a": str, "b": str}"""
-    if "a" not in data or "b" not in data:
-        raise InputError("quaternion JSON needs 'a' and 'b'")
-    from .csa import Quaternion
-
-    a = parse_ratfunc(p, data["a"])
-    b = parse_ratfunc(p, data["b"])
-    if a.is_zero() or b.is_zero():
-        raise InputError("quaternion parameters must be nonzero")
-    return Quaternion(a, b)
 
 
 def load_json(path):

@@ -253,7 +253,55 @@ class Mat:
         Berkowitz: division-free, valid in characteristic p.  det(T*I - M)
         = sum c_i T^i.
         """
-        return berkowitz_charpoly(self)
+        p = self.p
+        n = self.nrows
+        one = RatFunc.one(p)
+        zero = RatFunc.zero(p)
+        if n == 0:
+            return [one]
+        # vectors of length r+2 of charpoly coefficients of leading principal minors
+        polys = [(-self.rows[0][0], one)]  # charpoly of 1x1 block, ascending
+        for r in range(1, n):
+            a = self.rows[r][r]
+            R = self.rows[r][:r]
+            C = [self.rows[i][r] for i in range(r)]
+            A = [row[:r] for row in self.rows[:r]]
+            # Toeplitz column: [1, -a, -R*C, -R*A*C, -R*A^2*C, ...]
+            tvals = [one, -a]
+            vec = C
+            for _ in range(r - 1):
+                dot = zero
+                for x, y in zip(R, vec):
+                    if not x.is_zero() and not y.is_zero():
+                        dot = dot + x * y
+                tvals.append(-dot)
+                vec = [
+                    sum(
+                        (A[i][j] * vec[j] for j in range(r) if not vec[j].is_zero()),
+                        zero,
+                    )
+                    for i in range(r)
+                ]
+            dot = zero
+            for x, y in zip(R, vec):
+                if not x.is_zero() and not y.is_zero():
+                    dot = dot + x * y
+            tvals.append(-dot)
+            prev = polys[-1]  # ascending coeffs, length r+1
+            new = [zero] * (r + 2)
+            # new (descending conv): new_desc[i] = sum_j tvals[j] * prev_desc[i-j]
+            prev_desc = list(reversed(prev))
+            for i in range(r + 2):
+                acc = zero
+                for j in range(max(0, i - r), min(i, r + 1) + 1):
+                    if j < len(tvals) and i - j < len(prev_desc):
+                        tv = tvals[j]
+                        pv = prev_desc[i - j]
+                        if not tv.is_zero() and not pv.is_zero():
+                            acc = acc + tv * pv
+                new[i] = acc
+            polys.append(tuple(reversed(new)))
+        return list(polys[-1])
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
@@ -295,59 +343,6 @@ def _bareiss_det(p, rows):
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d.scale(-1) if sign < 0 else d
-
-
-def berkowitz_charpoly(M):
-    """Berkowitz characteristic polynomial for Mat (ascending coefficients)."""
-    p = M.p
-    n = M.nrows
-    one = RatFunc.one(p)
-    zero = RatFunc.zero(p)
-    if n == 0:
-        return [one]
-    # vectors of length r+2 of charpoly coefficients of leading principal minors
-    polys = [(-M.rows[0][0], one)]  # charpoly of 1x1 block, ascending
-    for r in range(1, n):
-        a = M.rows[r][r]
-        R = M.rows[r][:r]
-        C = [M.rows[i][r] for i in range(r)]
-        A = [row[:r] for row in M.rows[:r]]
-        # Toeplitz column: [1, -a, -R*C, -R*A*C, -R*A^2*C, ...]
-        tvals = [one, -a]
-        vec = C
-        for _ in range(r - 1):
-            dot = zero
-            for x, y in zip(R, vec):
-                if not x.is_zero() and not y.is_zero():
-                    dot = dot + x * y
-            tvals.append(-dot)
-            vec = [
-                sum(
-                    (A[i][j] * vec[j] for j in range(r) if not vec[j].is_zero()),
-                    zero,
-                )
-                for i in range(r)
-            ]
-        dot = zero
-        for x, y in zip(R, vec):
-            if not x.is_zero() and not y.is_zero():
-                dot = dot + x * y
-        tvals.append(-dot)
-        prev = polys[-1]  # ascending coeffs, length r+1
-        new = [zero] * (r + 2)
-        # new (descending conv): new_desc[i] = sum_j tvals[j] * prev_desc[i-j]
-        prev_desc = list(reversed(prev))
-        for i in range(r + 2):
-            acc = zero
-            for j in range(max(0, i - r), min(i, r + 1) + 1):
-                if j < len(tvals) and i - j < len(prev_desc):
-                    tv = tvals[j]
-                    pv = prev_desc[i - j]
-                    if not tv.is_zero() and not pv.is_zero():
-                        acc = acc + tv * pv
-            new[i] = acc
-        polys.append(tuple(reversed(new)))
-    return list(polys[-1])
 
 
 class KSpan:
@@ -602,8 +597,32 @@ def _trim(a):
 # ---------------------------------------------------------------------------
 
 
+def int64_stack(p, mats):
+    """The entries of `mats` as one (len, rows, cols) int64 array, or None.
+
+    None unless every entry is an F_p constant and int64 arithmetic mod p is
+    exact at this size: a dot product of n residues, n (p-1)^2 with n the
+    column count, must stay below 2^63.  Every numpy mod-p path over Mats
+    (the constant commutant and the cut values of the radical chain) runs
+    only on what this returns.
+    """
+    n = max((M.ncols for M in mats), default=1)
+    if n * (p - 1) ** 2 >= 2**63:
+        return None
+    if not all(e.is_constant() for M in mats for row in M.rows for e in row):
+        return None
+    return np.array([[[e.num.lc for e in row] for row in M.rows] for M in mats], dtype=np.int64)
+
+
 def modp_rref(A, p):
-    """RREF of an int matrix mod p; returns (R, pivot_cols). In-place safe."""
+    """RREF of an int matrix mod p; returns (R, pivot_cols). In-place safe.
+
+    Exact in int64 while (p-1)^2 < 2^63 (p up to about 3.04e9): each
+    elimination step multiplies two residues before reducing.  Raises
+    ValueError for a larger p.
+    """
+    if (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"modp_rref is exact in int64 only while (p-1)^2 < 2^63, not at p = {p}")
     M = np.array(A, dtype=np.int64) % p
     nr, nc = M.shape
     pivots = []
@@ -640,11 +659,6 @@ def modp_nullspace(A, p):
         for r, pc in enumerate(pivots):
             out[idx, pc] = (-R[r, fc]) % p
     return out
-
-
-def modp_rank(A, p):
-    """Rank of an int matrix mod p."""
-    return len(modp_rref(A, p)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from gquadforms.cli import main
 from gquadforms.jsonio import dump_json
+from gquadforms.linalg import Mat
 
 
 def run(capsys, *argv):
@@ -141,3 +144,30 @@ def test_json_composite_p_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "hp-check", str(mod))
     assert code == 2
     assert "odd prime" in err
+
+
+def test_verify_paper_output(capsys):
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 0
+    assert out.count("PASS ") == 29 and "FAIL" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5e5dcb00138f130988cab356d434b32c7abfe2dce55d78ba3635844eb528d370"
+    )
+
+
+def test_hp_check_at_prime_beyond_int64(tmp_path, capsys):
+    # g = S^-1 (I + E_12) S over F_p, p = 2^61 - 1: (p-1)^2 overflows int64
+    p = 2**61 - 1
+    rng = random.Random(5)
+    while True:
+        S = Mat.from_int_rows(p, [[rng.randrange(p) for _ in range(3)] for _ in range(3)])
+        if not S.det().is_zero():
+            break
+    g = S.inverse() * Mat.from_int_rows(p, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]) * S
+    mod = tmp_path / "mod.json"
+    action = [[str(e) for e in row] for row in g.rows]
+    mod.write_text(json.dumps({"p": p, "generators": ["g"], "dim": 3, "action": {"g": action}}))
+    code, out, _ = run(capsys, "hp-check", str(mod))
+    data = json.loads(out)
+    assert code == 0 and data["verdict"] == "guaranteed"
+    assert (data["evidence"]["dim_end"], data["evidence"]["dim_radical"]) == (5, 3)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import gquadforms.grpalg as grpalg
 from gquadforms.algebra import InvolutionAlgebra, quotient_algebra
 from gquadforms.errors import CertificateError, InputError
 from gquadforms.funcfield import Poly, RatFunc
@@ -18,7 +19,7 @@ from gquadforms.grpalg import (
     is_projective,
     jacobson_radical,
 )
-from gquadforms.linalg import Mat, modp_rref
+from gquadforms.linalg import Mat, int64_stack, modp_rref
 from gquadforms.quadform import QuadForm
 
 P = 3
@@ -365,3 +366,86 @@ def test_hp_verdict_invariant_under_base_change(bundle1):
     assert out["verdict"] == "guaranteed"
     comps = out["evidence"]["components"]
     assert comps[0]["kind"] == "symplectic"
+
+
+def _random_constant_algebras(seed=12, trials=12):
+    """(n, basis) of the algebras generated by random constant matrices over
+    F_P, the generator of the brute-force radical test without its size cap."""
+    rng = random.Random(seed)
+
+    def rref_basis(mats, n):
+        R, piv = modp_rref(np.stack([M.reshape(-1) for M in mats]), P)
+        return [R[i].reshape(n, n) for i in range(len(piv))]
+
+    for _ in range(trials):
+        n = rng.choice([2, 3])
+        gens = [
+            np.array([[rng.randrange(P) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+            for _ in range(rng.choice([1, 2]))
+        ]
+        basis = rref_basis([np.eye(n, dtype=np.int64)] + gens, n)
+        while True:
+            grown = rref_basis(basis + [(A @ B) % P for A in basis for B in basis], n)
+            if len(grown) == len(basis):
+                break
+            basis = grown
+        yield n, [Mat.from_int_rows(P, B.tolist()) for B in basis]
+
+
+def test_radical_chain_numpy_and_exact_paths_agree(monkeypatch):
+    cases = list(_random_constant_algebras())
+    # carrier multiplicity P: the trace form vanishes, the q = P level decides
+    cases += [(n * P, [M.kron(Mat.identity(P, P)) for M in mats]) for n, mats in cases]
+    numpy_bases = [grpalg._radical_chain(P, n, mats) for n, mats in cases]
+    monkeypatch.setattr(grpalg, "int64_stack", lambda p, mats: None)
+    exact_bases = [grpalg._radical_chain(P, n, mats) for n, mats in cases]
+    assert exact_bases == numpy_bases
+    assert any(exact_bases) and not all(exact_bases)
+
+
+def _unipotent_module(p, seed=5):
+    """g = S^-1 (I + E_12) S on k^3 with S a seeded dense invertible matrix."""
+    rng = random.Random(seed)
+    while True:
+        S = Mat.from_int_rows(p, [[rng.randrange(p) for _ in range(3)] for _ in range(3)])
+        if not S.det().is_zero():
+            break
+    J = Mat.from_int_rows(p, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    return GModule(GroupSpec(p, ["g"]), {"g": S.inverse() * J * S})
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1, 2**61 - 1])
+def test_commutant_and_radical_exact_at_any_prime(monkeypatch, p):
+    m = _unipotent_module(p)
+    E = endomorphism_algebra(m)
+    commutant = list(E.basis)
+    rad = jacobson_radical(E)
+    assert (E.dim, rad.dim) == (5, 3)
+    assert hp_verdict(m)["verdict"] == "guaranteed"
+    monkeypatch.setattr(grpalg, "int64_stack", lambda p, mats: None)
+    assert commutant == grpalg.commutant_of_matrices(p, 3, [m.action["g"]])
+    assert rad.basis == grpalg._radical_chain(p, 3, commutant)
+
+
+def test_int64_range_is_enforced():
+    p = 2**31 - 1
+    one = Mat.from_int_rows(p, [[p - 1]])
+    three = Mat.from_int_rows(p, [[p - 1] * 3] * 3)
+    assert int64_stack(p, [one]).tolist() == [[[p - 1]]]  # 1 * (p-1)^2 < 2^63
+    assert int64_stack(p, [three]) is None  # 3 * (p-1)^2 >= 2^63
+    assert int64_stack(P, [Mat(P, [[RatFunc.t(P)]])]) is None
+    R, piv = modp_rref(np.array([[p - 1, 1]]), p)  # (p-1)^2 < 2^63: exact
+    assert R.tolist() == [[1, p - 1]] and piv == [0]
+    with pytest.raises(ValueError):
+        modp_rref(np.array([[1, 1]]), 2**61 - 1)
+
+
+def test_poly_roots_in_k_at_small_and_large_primes():
+    for p in (3, 7, 2**61 - 1):
+        t = RatFunc.t(p)
+        roots = [RatFunc.zero(p), t, RatFunc(Poly(p, [1, 0, 2]), Poly(p, [5, 1])), RatFunc.from_int(p, -2)]
+        # (T^2 - t) has no root in k, so the roots are exactly `roots`
+        coeffs = [-t, RatFunc.zero(p), RatFunc.one(p)]
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip([RatFunc.zero(p)] + coeffs, coeffs + [RatFunc.zero(p)])]
+        assert grpalg._poly_roots_in_k(p, coeffs) == [roots[0]] + sorted(roots[1:], key=lambda r: r.sort_key())
