@@ -14,7 +14,7 @@ orthogonal/symplectic/unitary kind classification.
 import math
 
 from .funcfield import RatFunc
-from .linalg import KSpan, Mat
+from .linalg import KSpan, Mat, span_products
 
 
 class Algebra:
@@ -22,47 +22,40 @@ class Algebra:
 
     __slots__ = ("p", "dim", "mult_table", "unit", "matrices", "ambient_n", "_span", "_regular")
 
-    def __init__(self, p, mult_table, unit, matrices=None, ambient_n=None, _span=None):
+    def __init__(self, p, mult_table, unit, matrices=None, ambient_n=None):
         self.p = p
         self.dim = len(mult_table)
         self.mult_table = mult_table  # mult_table[i][j] = coords of b_i * b_j
         self.unit = tuple(unit)
         self.matrices = matrices
         self.ambient_n = ambient_n
-        self._span = _span
+        self._span = None
         self._regular = None
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_matrices(cls, p, mats, check_closure=True):
-        """Algebra spanned by the given matrices (must be closed, contain I)."""
+    def from_matrices(cls, p, mats):
+        """Algebra spanned by the given matrices (must be closed, contain I).
+
+        The basis is the RREF of their span; structure constants and unit
+        are its coordinates, all through `span_products` batches.
+        """
         if not mats:
             raise ValueError("empty generating set")
         n = mats[0].nrows
-        span = KSpan(p)
-        for M in mats:
-            span.add(M.flatten())
-        # deterministic basis: the RREF rows themselves, reshaped
-        basis = [_unflatten(p, row, n) for row in span.basis_rows()]
+        basis = span_products(p, mats)
         dim = len(basis)
-        table = []
-        for i, A in enumerate(basis):
-            row = []
-            for j, B in enumerate(basis):
-                coords = span.coordinates((A * B).flatten())
-                if coords is None:
-                    if check_closure:
-                        raise ValueError(
-                            f"span not multiplicatively closed at basis pair ({i}, {j})"
-                        )
-                    coords = [RatFunc.zero(p)] * dim
-                row.append(tuple(coords))
-            table.append(row)
-        unit = span.coordinates(Mat.identity(p, n).flatten())
+        products = span_products(p, basis, basis, basis)
+        for k, coords in enumerate(products):
+            if coords is None:
+                i, j = divmod(k, dim)
+                raise ValueError(f"span not multiplicatively closed at basis pair ({i}, {j})")
+        table = [products[i * dim : (i + 1) * dim] for i in range(dim)]
+        unit = span_products(p, [Mat.identity(p, n)], basis=basis)[0]
         if unit is None:
             raise ValueError("algebra does not contain the identity matrix")
-        return cls(p, table, unit, matrices=basis, ambient_n=n, _span=span)
+        return cls(p, table, unit, matrices=basis, ambient_n=n)
 
     @classmethod
     def from_structure(cls, p, mult_table, unit):
@@ -72,8 +65,13 @@ class Algebra:
 
     @property
     def span(self):
-        if self._span is None:
+        """KSpan of the matrix basis (built on first use)."""
+        if self.matrices is None:
             raise ValueError("abstract algebra has no ambient span")
+        if self._span is None:
+            self._span = KSpan(self.p)
+            for M in self.matrices:
+                self._span.add(M.flatten())
         return self._span
 
     def coords_of(self, M):
@@ -175,11 +173,6 @@ class Algebra:
     def __repr__(self):
         kind = "matrix" if self.matrices is not None else "abstract"
         return f"Algebra(dim {self.dim}, {kind}, p={self.p})"
-
-
-def _unflatten(p, flat, n):
-    rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-    return Mat(p, rows)
 
 
 class QuotientData:

@@ -16,6 +16,15 @@ coefficients into Frobenius strata f = sum t^r f_r(t^q) and solving one
 linear system over F_p(t^q).  Every radical result additionally carries a
 certificate (ideal, nilpotent, semisimple quotient), so a bug here cannot
 silently corrupt downstream verdicts.
+
+Every batch of matrix work runs in one of two domains, chosen per call
+from the matrices themselves: int64 numpy mod p when `linalg.int64_stack`
+accepts them (F_p-constant entries within the int64 range: a constant
+module, its commutant and radical), exact `Mat`/`KSpan` arithmetic over
+F_p(t) otherwise.  The fork sits inside two kernels only, `_cut_values`
+for the radical chain and `linalg.span_products` for RREF bases, closure,
+structure constants and the certificate's ideal and nilpotency checks, so
+no caller has a second code path and both domains give identical results.
 """
 
 import math
@@ -25,7 +34,15 @@ import numpy as np
 from .algebra import Algebra, InvolutionAlgebra, quotient_algebra
 from .errors import CertificateError, ExtractionError, InputError, UnsupportedCenterError
 from .funcfield import Poly, RatFunc, denominator_lcm
-from .linalg import KSpan, Mat, PolyMat, int64_stack, matrix_units, modp_nullspace
+from .linalg import (
+    KSpan,
+    Mat,
+    PolyMat,
+    int64_stack,
+    matrix_units,
+    modp_nullspace,
+    span_products,
+)
 
 
 class GroupSpec:
@@ -197,7 +214,10 @@ class EndAlgebra:
         return self.span().coordinates(M.flatten())
 
     def algebra(self):
-        """Structure-constant view (built once; intended for dim <= ~30)."""
+        """Structure-constant view, built once through `span_products`:
+        int64 mod p for a constant algebra (dim E up to a few hundred at
+        small n), exact RatFunc arithmetic otherwise (intended for
+        dim <= ~30)."""
         if self._algebra is None:
             self._algebra = Algebra.from_matrices(self.p, self.basis)
             self.basis = self._algebra.matrices
@@ -211,17 +231,16 @@ class EndAlgebra:
         return self._poly_basis
 
     def verify_closure(self):
-        """Multiplicative closure and the identity, checked on all pairs."""
-        sp = self.span()
-        ident = Mat.identity(self.p, self.n)
-        if not sp.contains(ident.flatten()):
+        """Multiplicative closure and the identity, checked on all pairs
+        in one `span_products` batch."""
+        p, basis = self.p, self.basis
+        if span_products(p, [Mat.identity(p, self.n)], basis=basis)[0] is None:
             raise CertificateError("endomorphism span misses the identity")
-        for i, A in enumerate(self.basis):
-            for j, B in enumerate(self.basis):
-                if not sp.contains((A * B).flatten()):
-                    raise CertificateError(
-                        f"endomorphism span not closed at basis pair ({i}, {j})"
-                    )
+        products = span_products(p, basis, basis, basis)
+        for k, coords in enumerate(products):
+            if coords is None:
+                i, j = divmod(k, len(basis))
+                raise CertificateError(f"endomorphism span not closed at basis pair ({i}, {j})")
         return True
 
     def __repr__(self):
@@ -258,7 +277,7 @@ def _commutant_constant(p, n, actions):
     system = np.concatenate(blocks, axis=0) % p
     null_rows = modp_nullspace(system, p)
     basis = [Mat.from_int_rows(p, row.reshape(n, n).tolist()) for row in null_rows]
-    return _rref_matrices(p, basis)
+    return span_products(p, basis)
 
 
 def commutant_of_matrices(p, n, mats):
@@ -283,7 +302,7 @@ def commutant_of_matrices(p, n, mats):
     basis = [
         Mat(p, [list(vec[r * n : (r + 1) * n]) for r in range(n)]) for vec in null
     ]
-    return _rref_matrices(p, basis)
+    return span_products(p, basis)
 
 
 def direct_tensor_commutant(module, block_size):
@@ -342,20 +361,6 @@ def _subblock(M, i, j, b):
 def _is_scalar_multiple_of_identity(B, ident):
     c = B.rows[0][0]
     return B == ident * c
-
-
-def _rref_matrices(p, mats):
-    """Deterministic RREF normalization of a matrix list (row-major flatten)."""
-    if not mats:
-        return []
-    n, c = mats[0].nrows, mats[0].ncols
-    sp = KSpan(p)
-    for M in mats:
-        sp.add(M.flatten())
-    out = []
-    for row in sp.basis_rows():
-        out.append(Mat(p, [list(row[i * c : (i + 1) * c]) for i in range(n)]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +435,7 @@ def _radical_chain(p, n, mats):
                 if not c.is_zero():
                     X = X + M * c
             newJ.append(X)
-        newJ = _rref_matrices(p, newJ)
+        newJ = span_products(p, newJ)
         # exact recheck: every chain element really satisfies the cut
         if any(not v.is_zero() for row in _cut_values(p, n, q, newJ, J) for v in row):
             raise CertificateError("semilinear solve returned a non-solution; chain aborted")
@@ -519,49 +524,56 @@ def require_semisimple(alg, message):
 def certify_radical(E, rad_basis):
     """Certificate that rad_basis spans the radical of E.
 
-    Checks: two-sided ideal; nilpotent with index <= dim (by powering the
-    ideal span); the quotient is semisimple (its radical recomputes to 0);
-    dim E = dim R + dim quotient.  Raises CertificateError on any failure.
+    Checks: independent; two-sided ideal; nilpotent with index <= dim (by
+    powering the ideal span); the quotient is semisimple (its radical
+    recomputes to 0); dim E = dim R + dim quotient.  The first three run
+    as `span_products` batches, in int64 for constant algebras.  Raises
+    CertificateError naming the failed check and its first failing input
+    in row-major order.
     """
-    p = E.p
-    sp = KSpan(p)
-    for M in rad_basis:
-        sp.add(M.flatten())
-    if sp.dim != len(rad_basis):
-        raise CertificateError("radical basis is not independent")
-    for A in E.basis:
-        for R in rad_basis:
-            if not sp.contains((A * R).flatten()) or not sp.contains((R * A).flatten()):
-                raise CertificateError("radical candidate is not a two-sided ideal")
+    p, basis, rad = E.p, E.basis, list(rad_basis)
+    if len(span_products(p, rad)) != len(rad):
+        k = next(k for k in range(len(rad)) if len(span_products(p, rad[: k + 1])) <= k)
+        raise CertificateError(
+            f"radical basis is not independent: element {k} lies in the span of the elements before it"
+        )
+    left = span_products(p, basis, rad, rad)
+    right = span_products(p, rad, basis, rad)
+    for i in range(len(basis)):
+        for j in range(len(rad)):
+            if left[i * len(rad) + j] is None:
+                failed = f"E basis {i} times radical basis {j}"
+            elif right[j * len(basis) + i] is None:
+                failed = f"radical basis {j} times E basis {i}"
+            else:
+                continue
+            raise CertificateError(f"radical candidate is not a two-sided ideal: {failed} lies outside it")
     # nilpotency: power the ideal span until zero
-    power = list(rad_basis)
+    power = rad
     steps = 1
     while power:
-        if steps > max(len(E.basis), 1):
-            raise CertificateError("radical candidate is not nilpotent")
-        nxt = KSpan(p)
-        nxt_mats = []
-        for X in power:
-            for R in rad_basis:
-                Z = X * R
-                if nxt.add(Z.flatten()):
-                    nxt_mats.append(Z)
-        power = _rref_matrices(p, nxt_mats)
+        if steps > max(len(basis), 1):
+            raise CertificateError(
+                f"radical candidate is not nilpotent: power {steps} is nonzero, past dim E = {len(basis)}"
+            )
+        power = span_products(p, power, rad)
         steps += 1
     # semisimple quotient: recompute the radical of E/R through the regular rep
     alg = E.algebra()
-    coords = [alg.coords_of(M) for M in rad_basis]
-    if any(c is None for c in coords):
-        raise CertificateError("radical basis escaped the algebra span")
+    coords = span_products(p, rad, basis=alg.matrices)
+    if None in coords:
+        raise CertificateError(
+            f"radical basis element {coords.index(None)} escaped the algebra span"
+        )
     quot = quotient_algebra(alg, coords)
     require_semisimple(quot.algebra, "quotient by the radical candidate is not semisimple")
-    if alg.dim != len(rad_basis) + quot.algebra.dim:
+    if alg.dim != len(rad) + quot.algebra.dim:
         raise CertificateError("dimension bookkeeping failed in radical certificate")
     return {
         "ideal": True,
         "nilpotency_index": steps,
         "quotient_radical_dim": 0,
-        "dims": {"algebra": alg.dim, "radical": len(rad_basis), "quotient": quot.algebra.dim},
+        "dims": {"algebra": alg.dim, "radical": len(rad), "quotient": quot.algebra.dim},
     }
 
 
@@ -1137,7 +1149,7 @@ def hp_verdict(m, form=None):
     # no form supplied: the criterion can still be settled when every
     # component is split (then orthogonal ones are split for any involution)
     alg = E.algebra()
-    coords = [alg.coords_of(M) for M in rad.basis]
+    coords = span_products(E.p, rad.basis, basis=alg.matrices)
     quot = quotient_algebra(alg, coords)
     comps = decompose_components_plain(quot.algebra)
     return verdict_from_components(comps, "all-components-split", evidence)

@@ -11,6 +11,11 @@ Two representations coexist:
   are reduced mod p afterwards.  This is what makes the 64-dimensional
   tensor computations cheap.
 
+`span_products` is the one batched kernel for RREF bases of matrix lists
+and for the coordinates of matrix products in a span: int64 mod p when
+every matrix is F_p-constant within its stated range, exact `Mat`/`KSpan`
+arithmetic otherwise, with the same answer either way.
+
 Charpoly is Berkowitz (division-free: correct in characteristic p).
 Symmetric diagonalization is fraction-free via leading principal minors
 (Jacobi), with symmetric pivoting and the e_i + e_j trick for zero
@@ -646,6 +651,84 @@ def modp_rref(A, p):
         pivots.append(c)
         r += 1
     return M[:r], pivots
+
+
+def span_products(p, xs, ys=None, basis=None):
+    """The products X Y (X in xs, Y in ys, row-major order; the xs
+    themselves when ys is None), reduced in one batch against a span.
+
+    basis None: the RREF basis of their span, as Mats (row-major flatten).
+    The reduced row echelon form of a row space is unique, so this is the
+    same list in either domain.
+    basis given: per product, the tuple of its coordinates in the RREF
+    basis of span(basis), or None where it lies outside.  The coordinates
+    are the product's entries at the pivot columns; an exact residual
+    check (product minus coordinates times basis) decides membership.
+
+    Domains: int64 numpy when `int64_stack` accepts every matrix (the
+    n-term dot products of X Y stay below 2^63) and, with a basis,
+    r (p-1)^2 < 2^63 for r = len(basis), since the coordinates-times-basis
+    product sums r terms; `modp_rref` needs only (p-1)^2 < 2^63, which both
+    imply.  Exact Mat and KSpan arithmetic otherwise.  Both domains give
+    the same answer.
+    """
+    xs = list(xs)
+    groups = [xs] + [list(g) for g in (ys, basis) if g is not None]
+    if not xs or not all(groups):
+        return _span_products_exact(p, xs, ys, basis)
+    stacks = [int64_stack(p, g) for g in groups]
+    if any(s is None for s in stacks) or (
+        basis is not None and len(basis) * (p - 1) ** 2 >= 2**63
+    ):
+        return _span_products_exact(p, xs, ys, basis)
+    Z = stacks[0] if ys is None else np.einsum("aij,bjk->abik", stacks[0], stacks[1]) % p
+    n, m = Z.shape[-2:]
+    Z = Z.reshape(-1, n * m)
+    if basis is None:
+        R, _ = modp_rref(Z, p)
+        return _mats(p, _int_ratfuncs(p, R), n, m)
+    B, pivots = modp_rref(stacks[-1].reshape(len(basis), -1), p)
+    C = Z[:, pivots]
+    inside = ~((Z - C @ B) % p).any(axis=1)
+    coords = _int_ratfuncs(p, C)
+    return [tuple(c) if ok else None for c, ok in zip(coords, inside.tolist())]
+
+
+def _span_products_exact(p, xs, ys, basis):
+    """`span_products` in exact Mat and KSpan arithmetic."""
+    if ys is None:
+        flats = [X.flatten() for X in xs]
+    else:
+        flats = [(X * Y).flatten() for X in xs for Y in ys]
+    sp = KSpan(p)
+    if basis is None:
+        for z in flats:
+            sp.add(z)
+        if not sp.rows:
+            return []
+        return _mats(p, sp.rows, xs[0].nrows, (xs if ys is None else ys)[0].ncols)
+    for B in basis:
+        sp.add(B.flatten())
+    out = []
+    for z in flats:
+        coords = sp.coordinates(z)
+        out.append(None if coords is None else tuple(coords))
+    return out
+
+
+def _int_ratfuncs(p, arr):
+    """Nested lists of the residues in a 2-d int array as RatFuncs, one
+    shared (immutable) RatFunc per distinct value."""
+    if arr.size == 0:
+        return [[] for _ in range(arr.shape[0])]
+    values, index = np.unique(arr, return_inverse=True)
+    table = [RatFunc.from_int(p, v) for v in values.tolist()]
+    return [[table[k] for k in row] for row in index.reshape(arr.shape).tolist()]
+
+
+def _mats(p, rows, n, m):
+    """n x m Mats from their row-major flattened entry lists."""
+    return [Mat(p, [row[i * m : (i + 1) * m] for i in range(n)]) for row in rows]
 
 
 def modp_nullspace(A, p):

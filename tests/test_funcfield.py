@@ -305,3 +305,30 @@ def test_require_odd_prime():
     for n in (3215031751, 3825123056546413051, (2**31 - 1) * (10**9 + 7), 3**40):
         with pytest.raises(ValueError):
             require_odd_prime(n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_factor_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(f"factor:{p}")
+    polys = [Poly(p, [rng.randrange(p) for _ in range(rng.randrange(2, 10))]) for _ in range(40)]
+    # repeated factors exercise the squarefree and p-th power steps
+    polys += [
+        Poly(p, [1, 1]) ** 3 * Poly(p, [2, 0, 1]) ** 2,
+        Poly(p, [0, 1]) ** min(p, 8),
+        Poly(p, [1, 0, 1]) ** 2 * Poly(p, [3, 1]),
+    ]
+    tested = 0
+    for f in polys:
+        if not 1 <= f.degree <= 8:
+            continue
+        lead, factors = f.factor()
+        s_lead, s_factors = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+        want = sorted(
+            (tuple(int(c) % p for c in reversed(g.monic().all_coeffs())), e) for g, e in s_factors
+        )
+        assert lead == int(s_lead) % p
+        assert sorted((g.coeffs, e) for g, e in factors) == want
+        tested += 1
+    assert tested >= 30

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import gquadforms.grpalg as grpalg
-from gquadforms.algebra import InvolutionAlgebra, quotient_algebra
+import gquadforms.linalg as linalg
+from gquadforms.algebra import Algebra, InvolutionAlgebra, quotient_algebra
 from gquadforms.errors import CertificateError, InputError
 from gquadforms.funcfield import Poly, RatFunc
 from gquadforms.grpalg import (
@@ -19,7 +20,7 @@ from gquadforms.grpalg import (
     is_projective,
     jacobson_radical,
 )
-from gquadforms.linalg import Mat, int64_stack, modp_rref
+from gquadforms.linalg import Mat, int64_stack, matrix_units, modp_rref, span_products
 from gquadforms.quadform import QuadForm
 
 P = 3
@@ -449,3 +450,218 @@ def test_poly_roots_in_k_at_small_and_large_primes():
         for r in roots:
             coeffs = [a - r * b for a, b in zip([RatFunc.zero(p)] + coeffs, coeffs + [RatFunc.zero(p)])]
         assert grpalg._poly_roots_in_k(p, coeffs) == [roots[0]] + sorted(roots[1:], key=lambda r: r.sort_key())
+
+
+# ---------------------------------------------------------------------
+# span_products: int64 and exact domains agree
+# ---------------------------------------------------------------------
+
+
+def _exact_domain(monkeypatch):
+    """Send every int64 mod-p path (span_products and the radical chain) to
+    exact arithmetic."""
+    never = lambda p, mats: None  # noqa: E731
+    monkeypatch.setattr(linalg, "int64_stack", never)
+    monkeypatch.setattr(grpalg, "int64_stack", never)
+
+
+def _box_module(p, boxes, seed):
+    """Direct sum of the boxes k[x_1..x_r]/(x_k^a_k), generator k acting as
+    1 + x_k, conjugated by a seeded dense invertible matrix."""
+    blocks = {k: [] for k in range(len(boxes[0]))}
+    for box in boxes:
+        monos = list(itertools.product(*[range(a) for a in box]))
+        for k in blocks:
+            act = np.eye(len(monos), dtype=np.int64)
+            for i, mono in enumerate(monos):
+                up = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
+                if up[k] < box[k]:
+                    act[monos.index(up), i] = 1
+            blocks[k].append(act)
+    n = sum(B.shape[0] for B in blocks[0])
+    action = {}
+    for k, blks in blocks.items():
+        A = np.zeros((n, n), dtype=np.int64)
+        at = 0
+        for B in blks:
+            A[at : at + len(B), at : at + len(B)] = B
+            at += len(B)
+        action[f"g{k + 1}"] = Mat.from_int_rows(p, A.tolist())
+    m = GModule(GroupSpec(p, list(action)), action)
+    rng = random.Random(seed)
+    while True:
+        S = Mat.from_int_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        if not S.det().is_zero():
+            return m.conjugate(S)
+
+
+def _regular_module_c3squared():
+    g = _cyclic_regular(P)
+    ident = Mat.identity(P, P)
+    return GModule(GroupSpec(P, ["g1", "g2"]), {"g1": g.kron(ident), "g2": ident.kron(g)})
+
+
+# the three hp-check benchmark box decompositions (two over C_3^2, one over C_3^3)
+_BOXES = [
+    ((2, 1), (2, 1), (1, 2), (1, 2)),
+    ((1, 1, 2), (1, 1, 2), (1, 2, 2)),
+    ((2, 2, 2),),
+]
+
+
+def _span_cases():
+    """(name, n, closed constant algebra basis containing I)."""
+    cases = [(f"random{i}", n, mats) for i, (n, mats) in enumerate(_random_constant_algebras())]
+    cases += [
+        (f"{name}(x)I_3", n * P, [M.kron(Mat.identity(P, P)) for M in mats])
+        for name, n, mats in list(cases)
+    ]
+    for i, boxes in enumerate(_BOXES):
+        m = _box_module(P, boxes, seed=i)
+        cases.append((f"boxes{i}", m.dim, endomorphism_algebra(m).basis))
+    cases.append(("C_3^2", 9, endomorphism_algebra(_regular_module_c3squared()).basis))
+    return cases
+
+
+def _span_outputs(p, n, mats, rad, certify=True):
+    E = EndAlgebra(p, n, mats)
+    E.verify_closure()
+    out = {"rref": span_products(p, mats), "rad_rref": span_products(p, rad)}
+    if certify:
+        out["certificate"] = grpalg.certify_radical(E, rad)
+    alg = E.algebra()  # built by the certificate when there is one
+    out.update(table=alg.mult_table, unit=alg.unit, basis=alg.matrices)
+    return out
+
+
+def test_span_products_int64_and_exact_domains_agree(monkeypatch):
+    cases = _span_cases()
+    assert all(int64_stack(P, mats) is not None for _, _, mats in cases)
+    rads = [grpalg._radical_chain(P, n, mats) for _, n, mats in cases]
+    fast = [_span_outputs(P, n, mats, rad) for (_, n, mats), rad in zip(cases, rads)]
+    _exact_domain(monkeypatch)
+    exact = [_span_outputs(P, n, mats, rad) for (_, n, mats), rad in zip(cases, rads)]
+    for (name, _, _), f, e in zip(cases, fast, exact):
+        assert f == e, name
+    assert {c["certificate"]["dims"]["radical"] for c in fast} > {0}
+
+
+def test_span_products_domains_agree_on_kc3cubed(monkeypatch):
+    # the exact certificate takes about 30 s here, so the certificate runs in
+    # the int64 domain only; the RREF bases, structure constants, unit and
+    # closure are compared across domains
+    E = endomorphism_algebra(_regular_module_cp3())
+    rad = grpalg._radical_chain(P, 27, E.basis)
+    fast = _span_outputs(P, 27, E.basis, rad)
+    assert fast.pop("certificate")["nilpotency_index"] == 7
+    _exact_domain(monkeypatch)
+    assert _span_outputs(P, 27, E.basis, rad, certify=False) == fast
+
+
+def _kc3():
+    return endomorphism_algebra(GModule(GroupSpec(P, ["g"]), {"g": _cyclic_regular(P)}))
+
+
+def _bad_dependent():
+    E = _kc3()
+    rad = grpalg._radical_chain(P, P, E.basis)
+    grpalg.certify_radical(E, rad + [rad[0] + rad[1]])
+
+
+def _bad_non_ideal():
+    grpalg.certify_radical(EndAlgebra(P, 2, matrix_units(P, 2)), [matrix_units(P, 2)[1]])
+
+
+def _bad_non_nilpotent():
+    E = _kc3()
+    grpalg.certify_radical(E, grpalg._radical_chain(P, P, E.basis) + [Mat.identity(P, P)])
+
+
+def _bad_missing_identity_end():
+    EndAlgebra(P, 2, matrix_units(P, 2)[:2]).verify_closure()
+
+
+def _bad_missing_identity_alg():
+    Algebra.from_matrices(P, matrix_units(P, 2)[:2])
+
+
+def _bad_not_closed_end():
+    _, e12, e21, _ = matrix_units(P, 2)
+    EndAlgebra(P, 2, [Mat.identity(P, 2), e12, e21]).verify_closure()
+
+
+def _bad_not_closed_alg():
+    _, e12, e21, _ = matrix_units(P, 2)
+    Algebra.from_matrices(P, [Mat.identity(P, 2), e12, e21])
+
+
+_BAD_INPUTS = [
+    (_bad_dependent, CertificateError,
+     "radical basis is not independent: element 2 lies in the span of the elements before it"),
+    (_bad_non_ideal, CertificateError,
+     "radical candidate is not a two-sided ideal: E basis 2 times radical basis 0 lies outside it"),
+    (_bad_non_nilpotent, CertificateError,
+     "radical candidate is not nilpotent: power 4 is nonzero, past dim E = 3"),
+    (_bad_missing_identity_end, CertificateError, "endomorphism span misses the identity"),
+    (_bad_missing_identity_alg, ValueError, "algebra does not contain the identity matrix"),
+    (_bad_not_closed_end, CertificateError, "endomorphism span not closed at basis pair (1, 2)"),
+    (_bad_not_closed_alg, ValueError, "span not multiplicatively closed at basis pair (1, 2)"),
+]
+
+
+@pytest.mark.parametrize("domain", ["int64", "exact"])
+@pytest.mark.parametrize("bad, error, message", _BAD_INPUTS, ids=[b.__name__ for b, _, _ in _BAD_INPUTS])
+def test_certificate_failures_name_check_and_input(monkeypatch, domain, bad, error, message):
+    if domain == "exact":
+        _exact_domain(monkeypatch)
+    with pytest.raises(error) as info:
+        bad()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _conjugated(p, mats, seed=3):
+    rng = random.Random(seed)
+    n = mats[0].nrows
+    while True:
+        S = Mat.from_int_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        if not S.det().is_zero():
+            Sinv = S.inverse()
+            return [Sinv * M * S for M in mats]
+
+
+def test_span_products_exact_beyond_int64_coordinate_range(monkeypatch):
+    p = 2**31 - 1
+    units = matrix_units(p, 2)
+    algebras = {
+        "M_2": _conjugated(p, units),
+        "upper-triangular": _conjugated(p, [units[0], units[1], units[3]]),
+    }
+    # int64_stack accepts n = 2, yet a coordinates-times-basis product of
+    # r >= 3 rows can reach r (p-1)^2 >= 2^63
+    assert all(int64_stack(p, mats) is not None for mats in algebras.values())
+    assert 3 * (p - 1) ** 2 >= 2**63
+    # the span of these three has p - 1 in its free column, so the residual
+    # of a member with coordinates near p - 1 sums three terms near (p - 1)^2
+    subspace = [Mat.from_int_rows(p, [[int(k == 0), int(k == 1)], [int(k == 2), p - 1]]) for k in range(3)]
+    rng = random.Random(5)
+    members = []
+    for _ in range(24):
+        X = Mat.zeros(p, 2)
+        for M in subspace:
+            X = X + M * RatFunc.from_int(p, p - 1 - rng.randrange(2**20))
+        members.append(X)
+
+    def outputs():
+        out = {}
+        for kind, mats in algebras.items():
+            rad = grpalg._radical_chain(p, 2, mats)
+            out[kind] = _span_outputs(p, 2, mats, rad)
+        out["members"] = span_products(p, members, basis=subspace)
+        return out
+
+    fast = outputs()
+    assert [len(fast[kind]["rad_rref"]) for kind in algebras] == [0, 1]
+    assert None not in fast["members"]
+    _exact_domain(monkeypatch)
+    assert outputs() == fast
