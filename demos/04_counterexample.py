@@ -4,7 +4,7 @@ completion of F_3(t) but not over F_3(t) itself -- while their underlying
 plain quadratic forms are globally equivalent, so the failure is carried
 entirely by the group action.
 
-Takes about half a minute; every identity is recomputed exactly and the
+Takes about 7 s on 2 CPUs; every identity is recomputed exactly and the
 report is byte-deterministic.
 """
 

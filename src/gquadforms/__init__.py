@@ -34,12 +34,11 @@ from .quadform import (
 from .csa import (
     Quaternion,
     QuatElem,
-    involution_kind,
+    SandwichIso,
     quat_conj,
     quat_mul,
     quaternion_from_algebra,
     rho_involution,
-    sandwich_iso,
     solve_alpha,
     tensor_m2q,
     twisted_involution,
@@ -64,9 +63,7 @@ from .hermitian import (
     counterexample_element,
     induced_involution,
     lift_class,
-    local_class_invariants,
     local_hyperbolicity,
-    project_class,
     records_equal,
     witness_check,
 )

@@ -134,9 +134,6 @@ class Algebra:
             ]
         return self._regular
 
-    def is_invertible(self, u):
-        return self.left_mult_matrix(u).rank() == self.dim
-
     def inverse(self, u):
         sol = self.left_mult_matrix(u).solve(self.unit)
         if sol is None:

@@ -209,8 +209,8 @@ def build_parser():
     s.set_defaults(fn=cmd_hp_check)
 
     s = sub.add_parser("counterexample", parents=[common], help="full local-global counterexample pipeline")
-    s.add_argument("--h1", help="first quaternion as 'a,b' (default: -1,t)")
-    s.add_argument("--h2", help="second quaternion as 'a,b' (default: -1,t^2+2 for p=3)")
+    s.add_argument("--h1", help="first quaternion as 'a,b' (default: c,t with c the smallest nonsquare mod p)")
+    s.add_argument("--h2", help="second quaternion as 'a,b' (default: c,t^2-3*t+2)")
     s.add_argument("--sample-places", type=int, default=5)
     s.set_defaults(fn=cmd_counterexample)
 

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from .algebra import Algebra, InvolutionAlgebra
 from .csa import (
     Quaternion,
+    SandwichIso,
     rho_involution,
-    sandwich_iso,
     solve_alpha,
     tensor_m2q,
 )
 from .errors import CertificateError, InputError
-from .funcfield import Place, Poly, RatFunc, denominator_lcm, irreducibles
+from .funcfield import Place, Poly, RatFunc, denominator_lcm, irreducibles, smallest_nonsquare
 from .grpalg import (
     EndAlgebra,
     GModule,
@@ -52,12 +52,16 @@ from .quadform import QuadForm, equivalent_global, invariants_report, is_hyperbo
 
 
 def default_quaternions(p):
-    """The default inputs H1 = (-1, t) and H2 = (-1, (t - 1)(t - 2))."""
+    """The default inputs H1 = (c, t) and H2 = (c, (t - 1)(t - 2)), c the
+    smallest nonsquare mod p; they ramify at {t, inf} and {t - 1, t - 2}.
+
+    At p = 3, c = 2 = -1.
+    """
     t, one = Poly.t(p), Poly.one(p)
-    minus_one = RatFunc.from_int(p, -1)
+    c = RatFunc.from_int(p, smallest_nonsquare(p))
     return (
-        Quaternion(minus_one, RatFunc.t(p)),
-        Quaternion(minus_one, RatFunc((t - one) * (t - one.scale(2)))),
+        Quaternion(c, RatFunc.t(p)),
+        Quaternion(c, RatFunc((t - one) * (t - one.scale(2)))),
     )
 
 
@@ -78,7 +82,7 @@ class ConstructionBundle:
 
 def build_N(H, prefix="g"):
     """The dimension-8 module over C_p^3: generators [[I, a_m], [0, I]]."""
-    f = sandwich_iso(H)
+    f = SandwichIso(H)
     p = H.p
     Z, I4 = Mat.zeros(p, 4), Mat.identity(p, 4)
 

@@ -10,7 +10,6 @@ exactly as in the unipotent-module construction this feeds into.
 
 from .funcfield import Place, RatFunc, hilbert_symbol, support, square_class
 from .linalg import KSpan, Mat, matrix_units
-from .quadform import QuadForm
 from .algebra import Algebra, InvolutionAlgebra
 
 
@@ -57,12 +56,6 @@ class Quaternion:
 
     def basis(self):
         return [self.one(), self.i(), self.j(), self.k()]
-
-    def norm_form(self):
-        """Gram of the reduced norm <1, -a, -b, ab>."""
-        p = self.p
-        one = RatFunc.one(p)
-        return QuadForm.from_diagonal(p, [one, -self.a, -self.b, self.a * self.b])
 
     def ramification_set(self):
         """Places where the algebra stays division: symbol -1 on the support."""
@@ -223,10 +216,6 @@ class SandwichIso:
         return True
 
 
-def sandwich_iso(H):
-    return SandwichIso(H)
-
-
 class RhoInvolution:
     """rho on M_4(k): the image of tau (x) (canonical of H^op) under f."""
 
@@ -318,11 +307,6 @@ def _reproduces_involution(alpha, rho, units):
         if alpha_inv * X.T * alpha != rho.apply(X):
             return False
     return True
-
-
-def involution_kind(inv_alg):
-    """Kind of an InvolutionAlgebra with simple carrier (or swap pair)."""
-    return inv_alg.kind()
 
 
 def tensor_m2q(H1, H2):

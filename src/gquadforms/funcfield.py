@@ -215,12 +215,6 @@ class Poly:
     def scale(self, c):
         return Poly(self.p, [c * x for x in self.coeffs])
 
-    def shift(self, n):
-        """Multiply by t^n (n >= 0)."""
-        if self.is_zero():
-            return self
-        return Poly(self.p, (0,) * n + self.coeffs)
-
     def __pow__(self, e):
         result = Poly.one(self.p)
         base = self
@@ -315,12 +309,6 @@ class Poly:
 
     def derivative(self):
         return Poly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
 
     def frobenius_sections(self, q):
         """Split f = sum_r t^r * f_r(t^q); returns the list [f_0, ..., f_{q-1}].

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, InvolutionAlgebra, quotient_algebra
+from .algebra import Algebra, InvolutionAlgebra, algebra_from_span, quotient_algebra
 from .errors import CertificateError, ExtractionError, InputError, UnsupportedCenterError
 from .funcfield import Poly, RatFunc, denominator_lcm
 from .linalg import (
@@ -115,13 +115,6 @@ class GModule:
     def is_constant(self):
         """Every action entry is an F_p constant within the int64 mod-p range."""
         return int64_stack(self.p, list(self.action.values())) is not None
-
-    def conjugate(self, P):
-        """Same module in a new basis: actions P^{-1} A P."""
-        Pinv = P.inverse()
-        return GModule(
-            self.group, {g: Pinv * M * P for g, M in self.action.items()}
-        )
 
     def tensor(self, other, prefixes=("L.", "R.")):
         """External tensor product over the product group."""
@@ -718,28 +711,15 @@ class ComponentReport:
 
 
 def _component_subalgebra(alg, idempotent):
-    """The subalgebra e*A*e (= component when e is central) with unit e."""
-    vecs = []
-    for i in range(alg.dim):
-        v = alg.mult(idempotent, alg.mult(alg.basis_coords(i), idempotent))
-        vecs.append(v)
-    sp = alg.subspace(vecs)
-    basis = sp.basis_rows()
-    table = []
-    for u in basis:
-        row = []
-        for w in basis:
-            prod = alg.mult(u, w)
-            coords = sp.coordinates(list(prod))
-            if coords is None:
-                raise CertificateError("component is not multiplicatively closed")
-            row.append(tuple(coords))
-        table.append(row)
-    unit = sp.coordinates(list(idempotent))
-    if unit is None:
-        raise CertificateError("component misses its idempotent unit")
-    sub = Algebra.from_structure(alg.p, table, unit)
-    return sub, sp
+    """(e*A*e, its span in A): the component when e is central, with unit e.
+
+    e*A*e is closed and e is its only unit, so `algebra_from_span` cannot
+    raise here and the unit it finds is e.
+    """
+    return algebra_from_span(
+        alg,
+        (alg.mult(idempotent, alg.mult(alg.basis_coords(i), idempotent)) for i in range(alg.dim)),
+    )
 
 
 def _minimal_polynomial(alg, z):
@@ -1025,40 +1005,22 @@ def is_projective(m):
     report.raise_if_invalid()
     p = m.p
     order = m.group.order
-    gens = list(m.group.generators)
     ident = Mat.identity(p, m.dim)
     # rad * m = sum of images of (g - 1)
-    img_rows = []
-    for g in gens:
-        img_rows.extend((m.action[g] - ident).T.rows)
-    if img_rows:
-        sp = KSpan(p)
-        for row in img_rows:
+    sp = KSpan(p)
+    for g in m.group.generators:
+        for row in (m.action[g] - ident).T.rows:
             sp.add(row)
-        rad_dim = sp.dim
-    else:
-        rad_dim = 0
-    r = m.dim - rad_dim
+    r = m.dim - sp.dim
     if r * order != m.dim:
         return False
-    # verify the lifted residue basis really generates: span of g^a x_l
-    if img_rows:
-        lift_idx = []
-        probe = KSpan(p)
-        for row in img_rows:
-            probe.add(row)
-        basis_vecs = []
-        for i in range(m.dim):
-            e = [RatFunc.zero(p)] * m.dim
-            e[i] = RatFunc.one(p)
-            if probe.add(e):
-                basis_vecs.append(e)
-                lift_idx.append(i)
-    else:
-        basis_vecs = []
-        for i in range(m.dim):
-            e = [RatFunc.zero(p)] * m.dim
-            e[i] = RatFunc.one(p)
+    # verify the lifted residue basis really generates: span of g^a x_l,
+    # x_l the unit vectors that extend rad * m to all of m
+    basis_vecs = []
+    for i in range(m.dim):
+        e = [RatFunc.zero(p)] * m.dim
+        e[i] = RatFunc.one(p)
+        if sp.add(e):
             basis_vecs.append(e)
     group_mats = _all_group_elements(m)
     span = KSpan(p)

@@ -56,10 +56,6 @@ class InducedInvolution:
     def apply_matrix(self, X):
         return self.gram_inv * X.T * self.gram
 
-    def verify_adjoint_identity(self, X):
-        """q(Xv, w) = q(v, gamma(X) w) as the exact identity X^T A = A gamma(X)."""
-        return X.T * self.gram == self.gram * self.apply_matrix(X)
-
     def verify_generator_inverses(self):
         """gamma(g) = g^{-1} for every generator action (= G-invariance of q)."""
         for g, M in self.module.action.items():
@@ -98,21 +94,12 @@ def class_element(base_form, other_form, gamma, end_algebra=None):
 
 def witness_check(gamma, u, u_prime, e):
     """Exact check sigma(e) * u * e = u' with e invertible."""
-    try:
-        e.inverse()
-    except ValueError:
-        return False
-    return gamma.apply_matrix(e) * u * e == u_prime
+    return _matrix_invertible(e) and gamma.apply_matrix(e) * u * e == u_prime
 
 
 # ---------------------------------------------------------------------------
 # project / lift along E -> Ebar
 # ---------------------------------------------------------------------------
-
-
-def project_class(quot, u):
-    """Image of a hermitian element in the quotient (coords in Ebar)."""
-    return quot.project_matrix(u)
 
 
 def lift_class(quot, ubar_coords):
@@ -140,13 +127,9 @@ def lift_class(quot, ubar_coords):
         if Rs.is_zero():
             continue
         shifted = cand + Rs
-        if project_class_coords_equal(quot, shifted, ubar_coords) and _matrix_invertible(shifted):
+        if tuple(quot.project_matrix(shifted)) == tuple(ubar_coords) and _matrix_invertible(shifted):
             return shifted
     raise CertificateError("no invertible symmetric lift found (unexpected)")
-
-
-def project_class_coords_equal(quot, u, ubar_coords):
-    return tuple(quot.project_matrix(u)) == tuple(ubar_coords)
 
 
 def _matrix_invertible(X):
@@ -155,28 +138,6 @@ def _matrix_invertible(X):
         return True
     except ValueError:
         return False
-
-
-def radical_shift_witness(gamma_apply, r, nil_bound, p):
-    """Explicit e with sigma(e) (1 + r) e = 1 for symmetric radical r.
-
-    e = (1 + r)^(-1/2) computed by the Newton iteration
-    x <- x (3 - S x^2) / 2 inside the commutative algebra k[r] (valid for
-    odd p); it stabilizes after O(log nil_bound) steps since r is nilpotent.
-    """
-    n = r.nrows
-    ident = Mat.identity(p, n)
-    S = ident + r
-    half = RatFunc.from_int(p, pow(2, p - 2, p))
-    three = RatFunc.from_int(p, 3)
-    x = ident
-    for _ in range(max(3, nil_bound)):
-        x = (x * (ident * three - S * x * x)) * half
-        if x * x * S == ident:
-            break
-    if x * x * S != ident:
-        raise CertificateError("inverse square root iteration failed")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +516,6 @@ def records_equal(rec1, rec2, v):
     if "hasse" in rec1 and rec1["hasse"] != rec2["hasse"]:
         return False
     return True
-
-
-def local_class_invariants(shape, element, v):
-    """Dispatch to the component shape (split matrix / quaternion pair)."""
-    return shape.local_record(element, v)
 
 
 def local_hyperbolicity(shape, v, element=None):

@@ -17,30 +17,52 @@ from .quadform import QuadForm
 def parse_ratfunc(p, text):
     try:
         return RatFunc.from_string(p, text)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse rational function {text!r}: {exc}") from exc
+
+
+def _require_keys(data, keys, what):
+    if not isinstance(data, dict):
+        raise InputError(f"{what} JSON must be an object")
+    for key in keys:
+        if key not in data:
+            raise InputError(f"{what} JSON misses '{key}'")
+
+
+def _int_from_json(data, key):
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"'{key}' must be an integer, got {value!r}")
+    return value
 
 
 def _prime_from_json(data):
     """The odd prime under the key "p"; InputError otherwise."""
+    p = _int_from_json(data, "p")
     try:
-        p = int(data["p"])
         require_odd_prime(p)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"'p' must be an odd prime, got {data['p']!r}") from exc
+    except ValueError as exc:
+        raise InputError(f"'p' must be an odd prime, got {p!r}") from exc
     return p
 
 
 def mat_from_json(p, rows):
-    if not isinstance(rows, list) or not rows:
-        raise InputError("matrix must be a nonempty list of rows")
+    """Matrix from a nonempty list of equal-length lists of strings."""
+    if not (
+        isinstance(rows, list)
+        and rows
+        and isinstance(rows[0], list)
+        and rows[0]
+        and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
+        and all(isinstance(e, str) for row in rows for e in row)
+    ):
+        raise InputError("matrix must be a nonempty list of equal-length lists of strings")
     return Mat(p, [[parse_ratfunc(p, e) for e in row] for row in rows])
 
 
 def quadform_from_json(data):
     """{"p": int, "gram": [[str, ...], ...]}"""
-    if "p" not in data or "gram" not in data:
-        raise InputError("quadratic form JSON needs 'p' and 'gram'")
+    _require_keys(data, ("p", "gram"), "quadratic form")
     p = _prime_from_json(data)
     gram = mat_from_json(p, data["gram"])
     if gram.nrows != gram.ncols:
@@ -53,21 +75,21 @@ def quadform_from_json(data):
 
 def gmodule_from_json(data):
     """{"p": int, "generators": [names], "dim": n, "action": {name: rows}}"""
-    for key in ("p", "generators", "dim", "action"):
-        if key not in data:
-            raise InputError(f"module JSON misses '{key}'")
+    _require_keys(data, ("p", "generators", "dim", "action"), "module")
     p = _prime_from_json(data)
-    gens = list(data["generators"])
-    grp = GroupSpec(p, gens)
+    gens, dim, rows = data["generators"], _int_from_json(data, "dim"), data["action"]
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise InputError("'generators' must be a list of strings")
+    if dim < 1:
+        raise InputError(f"'dim' must be positive, got {dim}")
+    if not isinstance(rows, dict):
+        raise InputError("'action' must map each generator name to a matrix")
     action = {}
     for g in gens:
-        if g not in data["action"]:
+        if g not in rows:
             raise InputError(f"module JSON misses the action of generator {g!r}")
-        action[g] = mat_from_json(p, data["action"][g])
-    m = GModule(grp, action)
-    if m.dim != int(data["dim"]):
-        raise InputError("declared dim does not match the action matrices")
-    return m
+        action[g] = mat_from_json(p, rows[g])
+    return GModule(GroupSpec(p, gens), action, dim=dim)
 
 
 def load_json(path):

@@ -105,20 +105,6 @@ class QuadForm:
                 out *= hilbert_symbol(d[i], d[j], v)
         return out
 
-    def direct_sum(self, other):
-        p = self.p
-        n, m = self.rank, other.rank
-        zero = RatFunc.zero(p)
-        rows = []
-        for i in range(n):
-            rows.append(list(self.gram.rows[i]) + [zero] * m)
-        for i in range(m):
-            rows.append([zero] * n + list(other.gram.rows[i]))
-        diag = None
-        if self._diag is not None and other._diag is not None:
-            diag = list(self._diag) + list(other._diag)
-        return QuadForm(Mat(p, rows), _diagonal=diag)
-
     def __repr__(self):
         return f"QuadForm(rank {self.rank} over F_{self.p}(t))"
 

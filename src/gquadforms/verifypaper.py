@@ -8,7 +8,7 @@ certificate) from scratch, for the default inputs at the given prime.
 """
 
 from .construct import bundle, default_quaternions, tensor_pair
-from .csa import twisted_involution, sandwich_iso
+from .csa import SandwichIso, twisted_involution
 from .errors import CertificateError, ExtractionError
 from .funcfield import RatFunc
 from .grpalg import check_module
@@ -27,7 +27,7 @@ def run_paper_identities(p=3):
 
     H1, H2 = default_quaternions(p)
 
-    f = sandwich_iso(H1)
+    f = SandwichIso(H1)
     check("sandwich: f(1 (x) 1) = identity", lambda: f.a1 == Mat.identity(p, 4))
     check("sandwich: homomorphism on all basis products", f.verify_homomorphism)
 

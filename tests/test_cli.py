@@ -155,6 +155,40 @@ def test_verify_paper_output(capsys):
     )
 
 
+def test_verify_paper_at_p_1_mod_4(capsys):
+    # -1 is a square mod 5, so the defaults must use a nonsquare unit
+    code, out, _ = run(capsys, "verify-paper", "--p", "5")
+    assert code == 0
+    assert out.count("PASS ") == 29 and "FAIL" not in out
+
+
+_MODULE = {"p": 3, "generators": ["g"], "dim": 1, "action": {"g": [["1"]]}}
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        ("hp-check", {**_MODULE, "action": {"g": [[1]]}}),
+        ("hp-check", {**_MODULE, "dim": [1]}),
+        ("hp-check", {**_MODULE, "action": {"g": ["1"]}}),
+        ("hp-check", {**_MODULE, "generators": "g", "action": {"g": [["1"]]}}),
+        ("hp-check", {**_MODULE, "action": "g"}),
+        ("hp-check", ["p", "generators", "dim", "action"]),
+        ("qf-equiv", {"p": 3, "gram": [[1]]}),
+        ("qf-equiv", {"p": 3, "gram": [["1/0"]]}),
+        ("qf-equiv", {"p": 3.9, "gram": [["1"]]}),
+        ("qf-equiv", {"p": 3, "gram": ["1"]}),
+        ("qf-equiv", {"p": 3, "gram": [["1", "0"], ["0"]]}),
+    ],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, kind, data):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, kind, str(path), *([str(path)] if kind == "qf-equiv" else []))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+
+
 def test_hp_check_at_prime_beyond_int64(tmp_path, capsys):
     # g = S^-1 (I + E_12) S over F_p, p = 2^61 - 1: (p-1)^2 overflows int64
     p = 2**61 - 1

@@ -126,6 +126,15 @@ def test_direct_commutant_agrees_with_kron_path(tensor_bundle, bundle1, bundle2)
 # ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_default_quaternions_ramify_at_four_places(p):
+    from gquadforms.construct import default_quaternions
+
+    h1, h2 = default_quaternions(p)
+    r1, r2 = set(h1.ramification_set()), set(h2.ramification_set())
+    assert len(r1) == len(r2) == 2 and not r1 & r2
+
+
 def test_pipeline_preconditions_rejected(h1):
     split = Quaternion(rf("1"), rf("t"))
     from gquadforms.construct import counterexample_pipeline

@@ -4,21 +4,20 @@ from gquadforms.algebra import Algebra, InvolutionAlgebra
 from gquadforms.csa import (
     Quaternion,
     QuatElem,
-    involution_kind,
+    SandwichIso,
     left_mult_matrix,
     quat_conj,
     quat_mul,
     quaternion_from_algebra,
     rho_involution,
     right_mult_matrix,
-    sandwich_iso,
     solve_alpha,
     tensor_m2q,
     twisted_involution,
 )
 from gquadforms.funcfield import Poly, RatFunc
 from gquadforms.linalg import Mat
-from gquadforms.quadform import is_isotropic
+from gquadforms.quadform import QuadForm, is_isotropic
 
 P = 3
 
@@ -103,9 +102,14 @@ def test_ramification_even_cardinality():
         assert len(H3.ramification_set()) % 2 == 0
 
 
+def _norm_form(quat):
+    """The reduced norm <1, -a, -b, ab> of the quaternion (a, b)."""
+    return QuadForm.from_diagonal(P, [RatFunc.one(P), -quat.a, -quat.b, quat.a * quat.b])
+
+
 def test_split_iff_norm_form_isotropic(H):
     for quat in (H, Quaternion(rf("1"), rf("t")), Quaternion(rf("t"), rf("-t")), Quaternion(rf("-1"), rf("t^2+2"))):
-        assert quat.is_split() == is_isotropic(quat.norm_form())
+        assert quat.is_split() == is_isotropic(_norm_form(quat))
 
 
 # ---------------------------------------------------------------------
@@ -114,7 +118,7 @@ def test_split_iff_norm_form_isotropic(H):
 
 
 def test_sandwich_spec_examples(H):
-    f = sandwich_iso(H)
+    f = SandwichIso(H)
     assert f.a1 == Mat.identity(P, 4)
     assert f.a2 * f.a2 == Mat.identity(P, 4) * rf("-1")
     assert f.verify_homomorphism()
@@ -194,7 +198,7 @@ def test_involution_kinds(H):
                 Mat.from_int_rows(P, [[1 if (r, c) == (a, b) else 0 for c in range(4)] for r in range(4)])
             )
     ia = _involution_on(units, lambda M: M.T)
-    assert involution_kind(ia) == "orthogonal"
+    assert ia.kind() == "orthogonal"
     assert ia.sym_dim() == 10
 
     def via(fn):
@@ -206,10 +210,10 @@ def test_involution_kinds(H):
 
     Hmats = [left_mult_matrix(e) for e in H.basis()]
     ia_c = _involution_on(Hmats, via(quat_conj))
-    assert involution_kind(ia_c) == "symplectic"
+    assert ia_c.kind() == "symplectic"
     assert ia_c.sym_dim() == 1
     ia_tau = _involution_on(Hmats, via(lambda x: twisted_involution(H, x)))
-    assert involution_kind(ia_tau) == "orthogonal"
+    assert ia_tau.kind() == "orthogonal"
     assert ia_tau.sym_dim() == 3
 
 

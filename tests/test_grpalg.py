@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -20,10 +21,17 @@ from gquadforms.grpalg import (
     is_projective,
     jacobson_radical,
 )
+from gquadforms.jsonio import dump_json
 from gquadforms.linalg import Mat, int64_stack, matrix_units, modp_rref, span_products
 from gquadforms.quadform import QuadForm
 
 P = 3
+
+
+def _conjugate(m, S):
+    """The module m in a new basis: actions S^{-1} A S."""
+    Sinv = S.inverse()
+    return GModule(m.group, {g: Sinv * A * S for g, A in m.action.items()})
 
 
 def _cyclic_regular(p):
@@ -361,7 +369,7 @@ def test_hp_verdict_invariant_under_base_change(bundle1):
             break
         except ValueError:
             continue
-    conj = m.conjugate(Pm)
+    conj = _conjugate(m, Pm)
     q2 = QuadForm(Pm.T * bundle1.form.gram * Pm)
     out = hp_verdict(conj, q2)
     assert out["verdict"] == "guaranteed"
@@ -492,7 +500,7 @@ def _box_module(p, boxes, seed):
     while True:
         S = Mat.from_int_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
         if not S.det().is_zero():
-            return m.conjugate(S)
+            return _conjugate(m, S)
 
 
 def _regular_module_c3squared():
@@ -507,6 +515,24 @@ _BOXES = [
     ((1, 1, 2), (1, 1, 2), (1, 2, 2)),
     ((2, 2, 2),),
 ]
+
+# sha256 of dump_json(hp_verdict(...)) on the three box modules (the first two
+# have multi-component quotients and take the plain path), then on bundle1's
+# module without its form and with it (the involution path)
+_HP_VERDICT_SHA256 = [
+    "8ca57643a5a6426434bc1d532d59d037be6f68e2311c6fa2ee21200c8a4d586e",
+    "6cea8999dbe1716d3ec8a0cebd9f826bf0b719ff5f7c4547c2d08942cafc21b6",
+    "3d587e7481198d6fe91ba5e48567989ad66e7a9c7c69f1c3090005775a8e6325",
+    "d291fe0120641422d8fd8f36085b36dc94b15391306f6ab72686d477a5698979",
+    "7db8763e20794b727a64b0ca5188582147cc813a4aa774d0adf7f8ae3b4c4b8d",
+]
+
+
+def test_hp_verdict_bytes_pinned(bundle1):
+    outs = [hp_verdict(_box_module(P, boxes, seed=i)) for i, boxes in enumerate(_BOXES)]
+    outs += [hp_verdict(bundle1.module), hp_verdict(bundle1.module, bundle1.form)]
+    shas = [hashlib.sha256(dump_json(out).encode()).hexdigest() for out in outs]
+    assert shas == _HP_VERDICT_SHA256
 
 
 def _span_cases():

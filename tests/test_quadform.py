@@ -40,6 +40,11 @@ def _random_form(rng, n):
     return QuadForm.from_diagonal(P, [_random_rf(rng) for _ in range(n)])
 
 
+def _direct_sum(q1, q2):
+    """Orthogonal sum of two forms built by `from_diagonal`."""
+    return QuadForm.from_diagonal(P, q1.diagonal() + q2.diagonal())
+
+
 # ---------------------------------------------------------------------
 # diagonalization
 # ---------------------------------------------------------------------
@@ -182,7 +187,7 @@ def test_witt_cancellation_through_invariants():
     for _ in range(5):
         q1, q2 = _random_form(rng, 2), _random_form(rng, 2)
         r = _random_form(rng, 2)
-        lhs = equivalent_global(q1.direct_sum(r), q2.direct_sum(r))
+        lhs = equivalent_global(_direct_sum(q1, r), _direct_sum(q2, r))
         rhs = equivalent_global(q1, q2)
         assert lhs == rhs
 
