@@ -123,7 +123,14 @@ class Poly:
             else:
                 head, _, tail = term.partition("t")
                 c = int(head.rstrip("*")) if head.rstrip("*") else 1
-                e = int(tail.lstrip("^")) if tail.lstrip("^") else 1
+                # the exponent is digits after "^": the "-" of t^-1 has
+                # already split off as a term of its own, leaving "t^"
+                if not tail:
+                    e = 1
+                elif tail[0] == "^" and tail[1:].isdecimal():
+                    e = int(tail[1:])
+                else:
+                    raise ValueError(f"malformed exponent in polynomial {text!r}")
             coeffs[e] = coeffs.get(e, 0) + sign * c
         out = [0] * (max(coeffs) + 1)
         for e, c in coeffs.items():
@@ -724,61 +731,75 @@ def valuation(a, v):
     """Order of vanishing of a at v; +inf sentinel for a = 0."""
     if a.is_zero():
         return INFINITY_VALUATION
-    if v.is_infinite:
-        return a.den.degree - a.num.degree
-    return _poly_ord(a.num, v.pi) - _poly_ord(a.den, v.pi)
+    return LocalUnit(a, v).valuation
 
 
-def _poly_ord(f, pi):
+def _split(f, pi):
+    """(e, (f / pi^e) mod pi) for the exact power pi^e dividing f != 0."""
     e = 0
     while True:
         q, r = divmod(f, pi)
         if not r.is_zero():
-            return e
+            return e, r
         f = q
         e += 1
 
 
-def unit_residue(a, v):
-    """Residue of the unit part a * pi^(-val) in the residue field.
+class LocalUnit:
+    """Local data of a nonzero a at a place v, from one pass of divisions by pi.
 
-    Finite v: a Poly of degree < deg(pi).  Infinite v: an int in F_p
-    (the ratio of leading coefficients, since the uniformizer is 1/t).
+    `valuation` is v(a) and `residue` the residue of the unit part
+    a * pi^(-v(a)): a Poly of degree < deg(pi) at a finite place, an int in
+    F_p at infinity (the ratio of leading coefficients, since the
+    uniformizer is 1/t).  `character`, the quadratic character of the
+    residue, is computed on first use.
     """
-    if a.is_zero():
-        raise ValueError("zero has no unit residue")
-    if v.is_infinite:
-        return (a.num.lc * pow(a.den.lc, a.p - 2, a.p)) % a.p
-    pi = v.pi
-    num, den = a.num, a.den
-    while (num % pi).is_zero():
-        num = num.exact_div(pi)
-    while (den % pi).is_zero():
-        den = den.exact_div(pi)
-    return (num * den.invmod(pi)) % pi
+
+    __slots__ = ("place", "valuation", "residue", "_character")
+
+    def __init__(self, a, v):
+        if a.is_zero():
+            raise ValueError("zero has no unit residue")
+        p = a.p
+        self.place = v
+        self._character = None
+        if v.is_infinite:
+            self.valuation = a.den.degree - a.num.degree
+            self.residue = a.num.lc * pow(a.den.lc, p - 2, p) % p
+            return
+        pi = v.pi
+        e, num = _split(a.num, pi)
+        f, den = _split(a.den, pi)
+        self.valuation = e - f
+        self.residue = (num * den.invmod(pi)) % pi
+
+    @property
+    def character(self):
+        if self._character is None:
+            self._character = quadratic_character(self.residue, self.place)
+        return self._character
 
 
 def quadratic_character(u, v):
     """+1 / -1 / 0 for square / nonsquare / zero in the residue field at v.
 
-    Computed by exponentiation to (q - 1)/2 in F_p[t]/(pi) (or in F_p at
-    infinity), q the residue field order.
+    Residue field F_p (infinity and places of degree 1): Euler's criterion
+    on a Python int.  Otherwise exponentiation to (q - 1)/2 in
+    F_p[t]/(pi), q the residue field order.
     """
     p = v.p
-    if v.is_infinite:
-        c = u if isinstance(u, int) else (u.coeffs[0] if u.coeffs else 0)
-        c %= p
+    if isinstance(u, int):
+        u = Poly.const(p, u)
+    if not v.is_infinite:
+        u = u % v.pi
+    if v.degree == 1:
+        c = u.coeffs[0] if u.coeffs else 0
         if c == 0:
             return 0
         return 1 if is_square_mod(c, p) else -1
-    pi = v.pi
-    if isinstance(u, int):
-        u = Poly.const(p, u)
-    u = u % pi
     if u.is_zero():
         return 0
-    e = (v.residue_order - 1) // 2
-    r = u.powmod(e, pi)
+    r = u.powmod((v.residue_order - 1) // 2, v.pi)
     if r.is_one():
         return 1
     if (r + Poly.one(p)).is_zero():
@@ -793,30 +814,49 @@ def is_local_square(a, v):
     """
     if a.is_zero():
         raise ValueError("is_local_square requires a nonzero argument")
-    val = valuation(a, v)
-    if val % 2 != 0:
-        return False
-    return quadratic_character(unit_residue(a, v), v) == 1
+    u = LocalUnit(a, v)
+    return u.valuation % 2 == 0 and u.character == 1
 
 
-def hilbert_symbol(a, b, v):
+def hilbert_symbol(a, b, v, memo=None):
     """Hilbert symbol (a, b)_v in {+1, -1}: does z^2 = a x^2 + b y^2 split at v?
 
-    Tame formula: the symbol is the quadratic character of the residue of
-    (-1)^(alpha*beta) * a^beta * b^(-alpha), alpha = v(a), beta = v(b).
+    Tame formula, factored through the local data of each argument:
+
+        (a, b)_v = eps^(alpha*beta) * chi(a_bar)^beta * chi(b_bar)^alpha
+
+    with alpha = v(a), beta = v(b), a_bar and b_bar the unit residues at v,
+    chi the quadratic character of the residue field F_q and
+    eps = chi(-1) = (-1)^((q-1)/2).  Only parities matter, so a character
+    is evaluated only when the other valuation is odd, and two even
+    valuations give +1 at once.
+
+    `memo` is an optional dict owned by the caller, keyed by (element,
+    place), holding each element's `LocalUnit`; the data then lives
+    exactly as long as that dict.  Each call is still one symbol: callers
+    that multiply symbols over pairs call this once per pair.
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("hilbert_symbol requires nonzero arguments")
-    alpha = valuation(a, v)
-    beta = valuation(b, v)
-    p = a.p
-    u = (a**beta) * (b ** (-alpha))
-    if (alpha * beta) % 2 != 0:
-        u = -u
-    ch = quadratic_character(unit_residue(u, v), v)
-    if ch == 0:
-        raise AssertionError("tame symbol argument was not a unit")
-    return ch
+    ua = _local_unit(a, v, memo)
+    ub = _local_unit(b, v, memo)
+    alpha, beta = ua.valuation % 2, ub.valuation % 2
+    s = -1 if alpha and beta and v.residue_order % 4 == 3 else 1
+    if beta:
+        s *= ua.character
+    if alpha:
+        s *= ub.character
+    return s
+
+
+def _local_unit(a, v, memo):
+    if memo is None:
+        return LocalUnit(a, v)
+    key = (a, v)
+    u = memo.get(key)
+    if u is None:
+        u = memo[key] = LocalUnit(a, v)
+    return u
 
 
 def support(a, b):

@@ -16,7 +16,7 @@ with odd residue characteristic.  Nothing here consults the symbol formula,
 so agreement between the two is a genuine two-route check.
 """
 
-from .funcfield import Poly, quadratic_character, unit_residue, valuation
+from .funcfield import LocalUnit, Poly, quadratic_character
 
 
 def residue_elements(v):
@@ -105,9 +105,8 @@ def local_isotropic(entries, v):
         raise ValueError("diagonal entries must be nonzero")
     first, second = [], []
     for a in entries:
-        val = valuation(a, v)
-        u = unit_residue(a, v)
-        (first if val % 2 == 0 else second).append(u)
+        u = LocalUnit(a, v)
+        (first if u.valuation % 2 == 0 else second).append(u.residue)
     if len(first) >= 2 and residue_form_isotropic(first, v):
         return True
     if len(second) >= 2 and residue_form_isotropic(second, v):

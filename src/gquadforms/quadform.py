@@ -23,7 +23,7 @@ from .linalg import Mat, symmetric_diagonalize
 class QuadForm:
     """Nondegenerate symmetric Gram matrix over F_p(t)."""
 
-    __slots__ = ("gram", "_diag", "_transform", "_bad")
+    __slots__ = ("gram", "_diag", "_transform", "_bad", "_disc", "_local")
 
     def __init__(self, gram, _diagonal=None):
         if not gram.is_symmetric():
@@ -32,6 +32,9 @@ class QuadForm:
         self._diag = list(_diagonal) if _diagonal is not None else None
         self._transform = None
         self._bad = None
+        self._disc = None
+        # LocalUnit per (diagonal entry, place), filled by hasse_invariant
+        self._local = {}
         if self._diag is None:
             # force the congruence diagonalization now; it certifies
             # nondegeneracy and everything downstream reads the diagonal
@@ -79,10 +82,12 @@ class QuadForm:
 
     def disc(self):
         """Square class of det(gram)."""
-        d = RatFunc.one(self.p)
-        for e in self.diagonal():
-            d = d * e
-        return square_class(d)
+        if self._disc is None:
+            d = RatFunc.one(self.p)
+            for e in self.diagonal():
+                d = d * e
+            self._disc = square_class(d)
+        return self._disc
 
     def bad_places(self):
         """Finite places dividing any diagonal entry, plus infinity."""
@@ -97,12 +102,21 @@ class QuadForm:
         return list(self._bad)
 
     def hasse_invariant(self, v):
-        """Product over i < j of (d_i, d_j)_v for a diagonalization <d_i>."""
+        """Product over i < j of (d_i, d_j)_v for a diagonalization <d_i>.
+
+        One `hilbert_symbol` call per pair, n(n-1)/2 in all (the benchmark
+        pins that count).  Each call takes the entries' valuations and
+        residue characters at v from this form's own memo, so every
+        (entry, place) is reduced once for the life of the form and a
+        symbol costs a product of signs,
+        (a, b)_v = eps^(alpha*beta) chi(a_bar)^beta chi(b_bar)^alpha.
+        """
         d = self.diagonal()
+        memo = self._local
         out = 1
         for i in range(len(d)):
             for j in range(i + 1, len(d)):
-                out *= hilbert_symbol(d[i], d[j], v)
+                out *= hilbert_symbol(d[i], d[j], v, memo)
         return out
 
     def __repr__(self):

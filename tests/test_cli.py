@@ -30,6 +30,13 @@ def test_symbol_rejects_zero(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("arg", ["t^-1", "t^"])
+def test_symbol_rejects_malformed_exponent(capsys, arg):
+    code, _, err = run(capsys, "symbol", arg, "t")
+    assert code == 2
+    assert "malformed exponent" in err
+
+
 def test_ram_command(capsys):
     code, out, _ = run(capsys, "ram", "-1", "t^2+2")
     assert code == 0

@@ -20,6 +20,7 @@ from gquadforms.funcfield import (
     support,
     valuation,
 )
+from gquadforms.localsolve import hilbert_symbol_oracle
 
 P = 3
 
@@ -50,6 +51,16 @@ def test_parse_and_format_round_trip():
         assert str(poly(s)) == s
     assert poly("1 + 2*t + t^2") == poly("t^2+2*t+1")
     assert poly("t^2 - 1") == poly("t^2+2")
+
+
+def test_parse_rejects_signed_or_empty_exponent():
+    # "t^-1" once split into "t^" and "-1" and read as t - 1
+    for text in ("t^-1", "t^", "t^+2", "2*t^-3+1"):
+        with pytest.raises(ValueError):
+            poly(text)
+    assert poly("t^2-1") == Poly(P, [2, 0, 1])
+    assert poly("-t") == Poly(P, [0, 2])
+    assert poly("2*t^3+t-1") == Poly(P, [2, 1, 0, 2])
 
 
 def test_zero_polynomial_degree_sentinel():
@@ -238,6 +249,79 @@ def test_local_square_forces_trivial_symbol():
         for v in support(a, b):
             if is_local_square(a, v):
                 assert hilbert_symbol(a, b, v) == 1
+
+
+def _power_symbol(a, b, v):
+    """The tame symbol by powering: the quadratic character of the residue
+    of (-1)^(alpha*beta) * a^beta * b^(-alpha), raised to (q - 1)/2."""
+    p = a.p
+    alpha, beta = valuation(a, v), valuation(b, v)
+    u = (a**beta) * (b ** (-alpha))
+    if (alpha * beta) % 2:
+        u = -u
+    e = (v.residue_order - 1) // 2
+    if v.is_infinite:
+        r = pow(u.num.lc * pow(u.den.lc, p - 2, p) % p, e, p)
+        return 1 if r == 1 else -1
+    pi = v.pi
+    num, den = u.num, u.den
+    while (num % pi).is_zero():
+        num = num.exact_div(pi)
+    while (den % pi).is_zero():
+        den = den.exact_div(pi)
+    r = ((num * den.invmod(pi)) % pi).powmod(e, pi)
+    assert r.is_one() or (r + Poly.one(p)).is_zero()
+    return 1 if r.is_one() else -1
+
+
+def _random_irreducible(rng, p, d):
+    while True:
+        f = Poly(p, [rng.randrange(p) for _ in range(d)] + [1])
+        if f.is_irreducible():
+            return f
+
+
+def _random_local_element(rng, v):
+    """c * pi^k * f / g with k in [-3, 3] and f, g random of degree <= 3; at
+    infinity the valuation deg g - deg f runs over [-3, 3]."""
+    p = v.p
+    while True:
+        f = Poly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 5))])
+        g = Poly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 5))])
+        if f.is_zero() or g.is_zero():
+            continue
+        a = RatFunc(f.scale(rng.randrange(1, p)), g)
+        if not v.is_infinite:
+            k = rng.randrange(-3, 4)
+            a = a * RatFunc(v.pi) ** k
+        return a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 2**31 - 1])
+def test_symbol_matches_power_formula(p):
+    rng = random.Random(f"symbol:{p}")
+    places = [Place.infinity(p)]
+    for d in (1, 2, 3):
+        for _ in range(2):
+            places.append(Place.finite(_random_irreducible(rng, p, d)))
+    memo = {}
+    vals = set()
+    oracle_checked = 0
+    for v in places:
+        for _ in range(12):
+            a, b = _random_local_element(rng, v), _random_local_element(rng, v)
+            want = _power_symbol(a, b, v)
+            assert hilbert_symbol(a, b, v) == want
+            assert hilbert_symbol(a, b, v, memo) == want
+            assert hilbert_symbol(b, a, v, memo) == want  # served from the memo
+            vals.update((valuation(a, v), valuation(b, v)))
+            if p <= 7 and v.residue_order <= 125:
+                assert hilbert_symbol_oracle(a, b, v) == want
+                oracle_checked += 1
+    assert any(x < 0 for x in vals) and any(x % 2 for x in vals) and any(x > 0 and x % 2 == 0 for x in vals)
+    assert memo and all(u.valuation == valuation(x, w) for (x, w), u in memo.items())
+    if p <= 7:
+        assert oracle_checked >= 36
 
 
 # ---------------------------------------------------------------------

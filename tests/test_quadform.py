@@ -1,9 +1,11 @@
+import gc
 import random
 import time
 
 import pytest
 
-from gquadforms.funcfield import Place, Poly, RatFunc, square_class
+from gquadforms import funcfield, quadform
+from gquadforms.funcfield import LocalUnit, Place, Poly, RatFunc, square_class
 from gquadforms.linalg import Mat
 from gquadforms.localsolve import local_isotropic
 from gquadforms.quadform import (
@@ -100,6 +102,61 @@ def test_hasse_spec_examples():
     assert diag("1", "1").hasse_invariant(vt) == 1
     assert diag("-1", "t").hasse_invariant(vt) == -1
     assert diag("-1", "t").hasse_invariant(v1) == 1
+
+
+def test_hasse_invariant_calls_symbol_once_per_pair(monkeypatch):
+    # the benchmark pins the hilbert_symbol count of a counterexample run,
+    # so the memo may make each call cheaper but never skip one
+    calls = []
+    symbol = quadform.hilbert_symbol
+
+    def counting(a, b, v, memo=None):
+        calls.append(memo)
+        return symbol(a, b, v, memo)
+
+    monkeypatch.setattr(quadform, "hilbert_symbol", counting)
+    rng = random.Random(12)
+    for n in (1, 2, 5, 9):
+        q = _random_form(rng, n)
+        for v in q.bad_places():
+            for _ in range(2):  # cold memo, then warm
+                calls.clear()
+                q.hasse_invariant(v)
+                assert len(calls) == n * (n - 1) // 2
+                assert all(m is q._local for m in calls)
+
+
+def _live_local_units():
+    return sum(isinstance(o, LocalUnit) for o in gc.get_objects())
+
+
+def test_symbol_memo_lives_and_dies_with_its_form():
+    entries = [rf(s) for s in ("t", "t+1", "2*t^2+1", "t/t^2+1", "2")]
+    gc.collect()
+    before = _live_local_units()
+    q1 = QuadForm.from_diagonal(P, entries)
+    q2 = QuadForm.from_diagonal(P, entries)
+    assert q1._local is not q2._local
+    h = [q1.hasse_invariant(v) for v in q1.bad_places()]
+    assert q1._local and not q2._local
+    assert [q2.hasse_invariant(v) for v in q2.bad_places()] == h
+    del q1, q2
+    gc.collect()
+    assert _live_local_units() == before
+    # no module-level symbol cache: the only cached helpers take integers
+    cached = {name for name, obj in vars(funcfield).items() if hasattr(obj, "cache_info")}
+    assert cached <= {"smallest_nonsquare", "_prime_divisors"}
+    assert not [
+        name
+        for name, obj in vars(funcfield).items()
+        if isinstance(obj, (dict, list, set)) and not name.startswith("__")
+    ]
+
+
+def test_disc_is_cached():
+    q = diag("t", "2", "t^2+1")
+    assert q.disc() is q.disc()
+    assert str(q.disc()) == "2*t^3+2*t"
 
 
 def test_bad_places_spec_examples():
