@@ -279,11 +279,10 @@ class InvolutionAlgebra:
 
     __slots__ = ("algebra", "inv_mat")
 
-    def __init__(self, algebra, inv_mat, check=True):
+    def __init__(self, algebra, inv_mat):
         self.algebra = algebra
         self.inv_mat = inv_mat
-        if check:
-            self.verify()
+        self.verify()
 
     def verify(self):
         A = self.algebra

@@ -2,11 +2,13 @@
 
 Exit codes are a stable contract: 0 = all checks pass, 1 = mathematical
 verdict "not equivalent / not guaranteed", 2 = input error, 3 = internal
-certificate failure.  Output is JSON on stdout unless --pretty is given.
+certificate failure or internal error (a bug, reported with its traceback
+on stderr).  Output is JSON on stdout unless --pretty is given.
 """
 
 import argparse
 import sys
+import traceback
 
 from .errors import CertificateError, ExtractionError, InputError, UnsupportedCenterError
 from .funcfield import hilbert_symbol, require_odd_prime, support
@@ -22,6 +24,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE_VERDICT = 1
 EXIT_INPUT = 2
 EXIT_CERTIFICATE = 3
+
+# Exceptions only a bug raises (ValueError is bad input): exit 3, never the verdict 1.
+_BUG_CLASSES = (TypeError, AttributeError, LookupError, ArithmeticError, AssertionError, RuntimeError)
 
 
 def _emit(data, args):
@@ -238,6 +243,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except _BUG_CLASSES as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_CERTIFICATE
 
 
 if __name__ == "__main__":

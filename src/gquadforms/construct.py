@@ -11,7 +11,6 @@ A failed assertion raises CertificateError: the pipeline never emits an
 unverified pair.
 """
 
-import json
 from dataclasses import dataclass
 
 from .algebra import Algebra, InvolutionAlgebra
@@ -47,6 +46,7 @@ from .hermitian import (
     local_hyperbolicity,
     records_equal,
 )
+from .jsonio import dump_json as report_to_json
 from .linalg import KSpan, Mat, PolyMat
 from .quadform import QuadForm, equivalent_global, invariants_report, is_hyperbolic
 
@@ -109,11 +109,11 @@ def build_N(H, prefix="g"):
     return N, f
 
 
-def verify_EN(N, H, end_algebra=None):
+def verify_EN(N, H):
     """Structural report for E_N: dimensions, block shapes, and an explicit
     isomorphism of the quotient with the opposite quaternion algebra."""
     p = H.p
-    E = end_algebra if end_algebra is not None else endomorphism_algebra(N)
+    E = endomorphism_algebra(N)
     if E.dim != 20:
         raise CertificateError(f"dim E_N = {E.dim}, expected 20")
     rad = jacobson_radical(E)
@@ -255,8 +255,7 @@ def bundle(H, prefix="g"):
     """Full verified construction bundle for one quaternion."""
     H = H.reduced()
     N, f = build_N(H, prefix=prefix)
-    E = endomorphism_algebra(N)
-    report, E, rad = verify_EN(N, H, end_algebra=E)
+    report, E, rad = verify_EN(N, H)
     q, alpha = build_q(H, N)
     gamma = induced_involution(N, q)
     ok, badgen = gamma.verify_generator_inverses()
@@ -328,15 +327,16 @@ class TensorBundle:
 
     def lift_of(self, coords):
         """Matrix lift of quotient coordinates along the complement."""
-        out = None
-        for c, L in zip(coords, self.lift_mats):
-            if c.is_zero():
-                continue
-            term = L * c
-            out = term if out is None else out + term
-        if out is None:
-            out = Mat.zeros(self.module.p, self.module.dim)
-        return out
+        return _combination(coords, self.lift_mats)
+
+
+def _combination(coeffs, mats):
+    """The sum of M * c over the nonzero c; the zero matrix if every c is zero."""
+    out = None
+    for c, M in zip(coeffs, mats):
+        if not c.is_zero():
+            out = M * c if out is None else out + M * c
+    return out if out is not None else Mat.zeros(mats[0].p, mats[0].nrows)
 
 
 def tensor_pair(b1, b2):
@@ -421,7 +421,7 @@ def tensor_pair(b1, b2):
     lifts2 = [M.clear_denominators() for M in lifts2]
     # order must match the quotient basis ordering used above: express each
     # factor lift in quotient coordinates and change basis accordingly
-    lift_mats = _ordered_lift_products(b1, lifts1, b2, lifts2, Ebar)
+    lift_mats = _ordered_lift_products(b1, lifts1, b2, lifts2)
     checks = {
         "dim_module": N.dim,
         "dim_end": E.dim,
@@ -446,20 +446,15 @@ def tensor_pair(b1, b2):
     )
 
 
-def _ordered_lift_products(b1, lifts1, b2, lifts2, Ebar):
+def _ordered_lift_products(b1, lifts1, b2, lifts2):
     """Lift matrices matching the tensor quotient basis coordinates.
 
     The tensor quotient basis is indexed by pairs of factor quotient basis
     elements; each factor lift is re-expressed so that lift_mats[i] projects
     exactly to the i-th tensor basis vector (no rescaling allowed here).
     """
-    out = []
-    m1 = _factor_lift_for_basis(b1, lifts1)
     m2 = _factor_lift_for_basis(b2, lifts2)
-    for L1 in m1:
-        for L2 in m2:
-            out.append(L1.kron(L2))
-    return out
+    return [L1.kron(L2) for L1 in _factor_lift_for_basis(b1, lifts1) for L2 in m2]
 
 
 def _factor_lift_for_basis(b, lifts):
@@ -468,18 +463,7 @@ def _factor_lift_for_basis(b, lifts):
     quot = b.quotient.quotient
     cols = [quot.project(alg.coords_of(L)) for L in lifts]
     Minv = Mat(b.module.p, cols).T.inverse()
-    out = []
-    dq = len(cols[0])
-    for i in range(dq):
-        combo = [Minv.rows[j][i] for j in range(len(lifts))]
-        acc = None
-        for c, L in zip(combo, lifts):
-            if c.is_zero():
-                continue
-            term = L * c
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return [_combination(col, lifts) for col in Minv.T.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +484,31 @@ def sample_unramified_places(p, exclude, count):
     return out
 
 
-def counterexample_pipeline(H1, H2, sample_places=5):
-    """Assemble, verify and report the full local-global counterexample."""
+@dataclass(slots=True, eq=False)
+class Counterexample:
+    """The certified build behind one counterexample report.  `element` is
+    the `counterexample_element` result; `ubar` its denominator-cleared
+    coordinates."""
+
+    H1: Quaternion
+    H2: Quaternion
+    ram1: list
+    ram2: list
+    ram_q: list
+    b1: ConstructionBundle
+    b2: ConstructionBundle
+    tb: TensorBundle
+    shape: QuaternionPairShape
+    places: list
+    hyper_table: list
+    element: dict
+    ubar: tuple
+    local_table: list
+
+
+def build_counterexample(H1, H2, sample_places=5):
+    """Build and certify the counterexample element; every failed check
+    raises InputError or CertificateError."""
     H1, H2 = H1.reduced(), H2.reduced()
     p = H1.p
     ram1 = H1.ramification_set()
@@ -516,8 +523,7 @@ def counterexample_pipeline(H1, H2, sample_places=5):
     b1 = bundle(H1, prefix="g")
     b2 = bundle(H2, prefix="h")
     tb = tensor_pair(b1, b2)
-    qdata = tensor_m2q(H1, H2)
-    ram_q = qdata["ramification"]
+    ram_q = tensor_m2q(H1, H2)["ramification"]
     if set(ram_q) != set(ram1) | set(ram2):
         raise CertificateError("Ram(Q) is not the union of the four input places")
     shape = QuaternionPairShape(tb.quotient_involution)
@@ -528,26 +534,24 @@ def counterexample_pipeline(H1, H2, sample_places=5):
     sampled = sample_unramified_places(p, bad, sample_places)
     if not any(v.is_infinite for v in bad):
         sampled.append(Place.infinity(p))
+    places = bad + sampled
     hyper_table = []
-    for v in bad + sampled:
-        hv = local_hyperbolicity(shape, v)
-        if not hv:
+    for v in places:
+        if not local_hyperbolicity(shape, v):
             raise CertificateError(f"base involution is not hyperbolic at {v}")
         hyper_table.append([str(v), True])
     # the counterexample element, certified
     result = counterexample_element(shape)
-    ubar = result["ubar"]
     # scale to polynomial coordinates (class-invariant for every certificate:
     # the twisted involution is unchanged and Nrd scales by a 4th power)
-    ubar = _clear_coord_denominators(ubar)
-    # local G-equivalence table: records of ubar vs 1 at every bad place
+    ubar = _clear_coord_denominators(result["ubar"])
+    # local G-equivalence table: records of ubar vs 1 at every tabulated place
     unit = tb.quotient_algebra.unit
     local_table = []
-    for v in bad + sampled:
+    for v in places:
         r_u = shape.local_record(ubar, v)
         r_1 = shape.local_record(unit, v)
-        eq = records_equal(r_u, r_1, v)
-        if not eq:
+        if not records_equal(r_u, r_1, v):
             raise CertificateError(f"local records differ at {v}: counterexample void")
         local_table.append(
             {
@@ -557,6 +561,15 @@ def counterexample_pipeline(H1, H2, sample_places=5):
                 "equal": True,
             }
         )
+    return Counterexample(
+        H1, H2, ram1, ram2, ram_q, b1, b2, tb, shape, places, hyper_table, result, ubar, local_table
+    )
+
+
+def counterexample_pipeline(H1, H2, sample_places=5):
+    """Assemble, verify and report the full local-global counterexample."""
+    cx = build_counterexample(H1, H2, sample_places)
+    H1, H2, b1, tb, ubar, result = cx.H1, cx.H2, cx.b1, cx.tb, cx.ubar, cx.element
     # lift u and materialize q' = Gram(q) * u; symmetry of Gram(q) * u is
     # exactly gamma-symmetry of u since Gram(q) is symmetric invertible
     u = tb.lift_of(ubar)
@@ -583,15 +596,15 @@ def counterexample_pipeline(H1, H2, sample_places=5):
     )
     verdict_tensor = hp_verdict_from_quotient_tensor(tb)
     report = {
-        "p": p,
+        "p": H1.p,
         "inputs": {
             "H1": {"a": str(H1.a), "b": str(H1.b)},
             "H2": {"a": str(H2.a), "b": str(H2.b)},
         },
         "ramification": {
-            "H1": [str(v) for v in ram1],
-            "H2": [str(v) for v in ram2],
-            "Q": [str(v) for v in ram_q],
+            "H1": [str(v) for v in cx.ram1],
+            "H2": [str(v) for v in cx.ram2],
+            "Q": [str(v) for v in cx.ram_q],
         },
         "dimensions": {
             "module": tb.module.dim,
@@ -599,10 +612,10 @@ def counterexample_pipeline(H1, H2, sample_places=5):
             "radical": tb.radical.dim,
             "quotient": tb.quotient_algebra.dim,
         },
-        "factor_checks": [b1.checks, b2.checks],
+        "factor_checks": [b1.checks, cx.b2.checks],
         "tensor_checks": tb.checks,
-        "local_hyperbolicity": hyper_table,
-        "local_table": local_table,
+        "local_hyperbolicity": cx.hyper_table,
+        "local_table": cx.local_table,
         "global_certificate": result["certificate"],
         "g_verdict": "inequivalent",
         "plain_forms_equivalent": plain_equivalent,
@@ -632,19 +645,7 @@ def hp_verdict_from_quotient_tensor(tb):
 
 def _is_scalar_matrix(M):
     c = M.rows[0][0]
-    if c.is_zero():
-        return False
-    n = M.nrows
-    for i in range(n):
-        for j in range(n):
-            want = c if i == j else None
-            e = M.rows[i][j]
-            if want is None:
-                if not e.is_zero():
-                    return False
-            elif e != want:
-                return False
-    return True
+    return not c.is_zero() and M == Mat.identity(M.p, M.nrows) * c
 
 
 def _clear_coord_denominators(coords):
@@ -659,6 +660,3 @@ def _public_record(rec):
 def _gram_strings(G):
     return [[str(e) for e in row] for row in G.rows]
 
-
-def report_to_json(report, indent=2):
-    return json.dumps(report, sort_keys=True, indent=indent)

@@ -44,6 +44,8 @@ from .linalg import (
     span_products,
 )
 
+_PRODUCT_PREFIXES = ("L.", "R.")  # generator names of a product's left and right factor
+
 
 class GroupSpec:
     """Product of cyclic groups of order p with named commuting generators."""
@@ -64,13 +66,12 @@ class GroupSpec:
     def order(self):
         return self.p ** len(self.generators)
 
-    def product(self, other, prefixes=("L.", "R.")):
+    def product(self, other):
         """External direct product with disjoint generator names."""
         if self.p != other.p:
             raise InputError("group product needs matching p")
-        names = [prefixes[0] + g for g in self.generators] + [
-            prefixes[1] + g for g in other.generators
-        ]
+        left, right = _PRODUCT_PREFIXES
+        names = [left + g for g in self.generators] + [right + g for g in other.generators]
         return GroupSpec(self.p, names)
 
     def __repr__(self):
@@ -116,16 +117,17 @@ class GModule:
         """Every action entry is an F_p constant within the int64 mod-p range."""
         return int64_stack(self.p, list(self.action.values())) is not None
 
-    def tensor(self, other, prefixes=("L.", "R.")):
+    def tensor(self, other):
         """External tensor product over the product group."""
-        grp = self.group.product(other.group, prefixes)
+        grp = self.group.product(other.group)
+        left, right = _PRODUCT_PREFIXES
         ident_self = Mat.identity(self.p, self.dim)
         ident_other = Mat.identity(other.p, other.dim)
         action = {}
         for g, M in self.action.items():
-            action[prefixes[0] + g] = M.kron(ident_other)
+            action[left + g] = M.kron(ident_other)
         for g, M in other.action.items():
-            action[prefixes[1] + g] = ident_self.kron(M)
+            action[right + g] = ident_self.kron(M)
         return GModule(grp, action)
 
     def __repr__(self):

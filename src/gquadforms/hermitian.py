@@ -29,25 +29,22 @@ from .funcfield import (
     square_class,
 )
 from .linalg import KSpan, Mat, PolyMat
-from .quadform import QuadForm, is_hyperbolic
+from .quadform import QuadForm
 
 
 class InducedInvolution:
     """The adjoint involution X -> A^{-1} X^T A of a G-invariant Gram matrix."""
 
-    __slots__ = ("module", "gram", "gram_inv", "_kron")
+    __slots__ = ("module", "gram", "gram_inv")
 
-    def __init__(self, module, gram, gram_inv=None, kron_factors=None):
+    def __init__(self, module, gram, kron_factors=None):
         self.module = module
         self.gram = gram
-        self._kron = kron_factors
-        if gram_inv is None:
-            if kron_factors is not None:
-                a1, a2 = kron_factors
-                gram_inv = a1.inverse().kron(a2.inverse())
-            else:
-                gram_inv = gram.inverse()
-        self.gram_inv = gram_inv
+        if kron_factors is not None:
+            a1, a2 = kron_factors
+            self.gram_inv = a1.inverse().kron(a2.inverse())
+        else:
+            self.gram_inv = gram.inverse()
 
     @property
     def p(self):
@@ -64,7 +61,7 @@ class InducedInvolution:
         return True, None
 
 
-def induced_involution(module, form, gram_inv=None, kron_factors=None):
+def induced_involution(module, form, kron_factors=None):
     """Involution induced by a G-invariant form; rejects non-invariant input."""
     if form.rank != module.dim:
         raise InputError("form rank does not match the module dimension")
@@ -79,7 +76,7 @@ def induced_involution(module, form, gram_inv=None, kron_factors=None):
         for g, M in module.action.items():
             if M.T * A * M != A:
                 raise InputError(f"form is not G-invariant at generator {g}")
-    return InducedInvolution(module, A, gram_inv=gram_inv, kron_factors=kron_factors)
+    return InducedInvolution(module, A, kron_factors=kron_factors)
 
 
 def class_element(base_form, other_form, gamma, end_algebra=None):
@@ -385,32 +382,38 @@ class SplitAdjointShape:
             "_det": det,
         }
 
-    def local_hyperbolic(self, v, U=None):
-        return is_hyperbolic(self.morita_form(U), v)
-
 
 class QuaternionPairShape:
     """Component shape (b): degree-4 orthogonal involution algebra whose
     skew space splits into two commuting quaternion subalgebras (the
     M_2(Q)-shaped components of the two-quaternion pipeline)."""
 
-    def __init__(self, inv_alg, pair=None):
+    def __init__(self, inv_alg):
         self.inv_alg = inv_alg
-        self.pair = pair if pair is not None else clifford_quaternion_pair(inv_alg)
-        self._twist_cache = {}
+        self.pair = clifford_quaternion_pair(inv_alg)
+        # element tuple -> [twisted involution, its quaternion pair or None];
+        # the twist by 1 is the base involution itself
+        self._twists = {tuple(inv_alg.algebra.unit): [inv_alg, self.pair]}
         r1 = set(self.pair[0].quaternion.ramification_set())
         r2 = set(self.pair[1].quaternion.ramification_set())
         self.q_ramification = sorted(r1 ^ r2, key=lambda v: v.sort_key())
 
-    def twisted_pair(self, u_coords):
+    def _twist(self, u_coords):
         key = tuple(u_coords)
-        if key not in self._twist_cache:
-            if key == tuple(self.inv_alg.algebra.unit):
-                self._twist_cache[key] = self.pair
-            else:
-                tw = twisted_involution_algebra(self.inv_alg, u_coords)
-                self._twist_cache[key] = clifford_quaternion_pair(tw)
-        return self._twist_cache[key]
+        entry = self._twists.get(key)
+        if entry is None:
+            entry = self._twists[key] = [twisted_involution_algebra(self.inv_alg, u_coords), None]
+        return entry
+
+    def twisted_involution(self, u_coords):
+        """x -> u^{-1} sigma(x) u, built once per element."""
+        return self._twist(u_coords)[0]
+
+    def twisted_pair(self, u_coords):
+        entry = self._twist(u_coords)
+        if entry[1] is None:
+            entry[1] = clifford_quaternion_pair(entry[0])
+        return entry[1]
 
     def nrd(self, u_coords):
         return reduced_norm_deg4(self.inv_alg.algebra, u_coords)
@@ -439,8 +442,8 @@ class QuaternionPairShape:
             "_nrd": nrd,
         }
 
-    def local_hyperbolic(self, v, u_coords=None):
-        """Hyperbolicity of the (possibly twisted) involution at v.
+    def local_hyperbolic(self, v):
+        """Hyperbolicity of the base involution at v.
 
         Classification fact used (isolated here per the design decision):
         a degree-4 orthogonal involution with trivial discriminant is
@@ -450,11 +453,9 @@ class QuaternionPairShape:
         H1 ~ H2, which at a local place reduces to `not both members
         division at v`.
         """
-        u = u_coords if u_coords is not None else self.inv_alg.algebra.unit
-        tw = self.twisted_pair(u)
         division_count = sum(
             1
-            for m in tw
+            for m in self.pair
             if any(w == v for w in m.quaternion.ramification_set())
         )
         return division_count < 2
@@ -464,8 +465,7 @@ class QuaternionPairShape:
         an idempotent e with sigma_u(e) = 1 - e.  Returns e or None."""
         A = self.inv_alg.algebra
         p = A.p
-        su = twisted_involution_algebra(self.inv_alg, u_coords)
-        minus_one = RatFunc.from_int(p, -1)
+        su = self.twisted_involution(u_coords)
         half = RatFunc.from_int(p, pow(2, p - 2, p))
         for w in _symmetric_square_roots_of_one(A, su):
             e = A.smul(half, A.add(A.unit, w))
@@ -518,8 +518,8 @@ def records_equal(rec1, rec2, v):
     return True
 
 
-def local_hyperbolicity(shape, v, element=None):
-    return shape.local_hyperbolic(v, element)
+def local_hyperbolicity(shape, v):
+    return shape.local_hyperbolic(v)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +616,7 @@ def _package_counterexample(shape, u, witness):
     )
     if base_pair_rams == twist_pair_rams:
         raise CertificateError("pair invariant failed to separate the classes")
-    su = twisted_involution_algebra(shape.inv_alg, u)
+    su = shape.twisted_involution(u)
     e = witness
     if A.mult(e, e) != e or su.apply(e) != A.sub(A.unit, e):
         raise CertificateError("hyperbolicity witness failed verification")

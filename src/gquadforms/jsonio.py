@@ -102,8 +102,9 @@ def load_json(path):
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
-def dump_json(data, path=None, indent=2):
-    text = json.dumps(data, sort_keys=True, indent=indent)
+def dump_json(data, path=None):
+    """Sorted-key JSON with indent 2: returned as text, or written to path."""
+    text = json.dumps(data, sort_keys=True, indent=2)
     if path is None:
         return text
     with open(path, "w", encoding="utf-8") as fh:

@@ -212,3 +212,16 @@ def test_hp_check_at_prime_beyond_int64(tmp_path, capsys):
     data = json.loads(out)
     assert code == 0 and data["verdict"] == "guaranteed"
     assert (data["evidence"]["dim_end"], data["evidence"]["dim_radical"]) == (5, 3)
+
+
+def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
+    import gquadforms.cli as cli
+
+    def broken(a, b, v):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "hilbert_symbol", broken)
+    code, out, err = run(capsys, "symbol", "-1", "t")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: TypeError: unsupported operand\n")
+    assert "Traceback (most recent call last)" in err

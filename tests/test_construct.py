@@ -202,3 +202,52 @@ def test_pipeline_report_bytes_pinned(pipeline_report):
         hashlib.sha256(text.encode("utf-8")).hexdigest()
         == "4cacf7efc944f793447e50547792583f0d5a970b67b2b56d476827f0348c8f1f"
     )
+
+
+# ---------------------------------------------------------------------
+# one build: build_counterexample behind both CLI commands
+# ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def session_build(monkeypatch, bundle1, bundle2, tensor_bundle):
+    """Make `build_counterexample` reuse the session bundles; they are the
+    p = 3 default inputs, since the smallest nonsquare mod 3 is 2 = -1."""
+    from gquadforms import construct
+
+    monkeypatch.setattr(construct, "bundle", lambda H, prefix: bundle1 if prefix == "g" else bundle2)
+    monkeypatch.setattr(construct, "tensor_pair", lambda b1, b2: tensor_bundle)
+    return construct
+
+
+def test_failed_local_check_is_one_certificate_failure(session_build, monkeypatch, capsys):
+    from gquadforms.cli import main
+
+    monkeypatch.setattr(session_build, "records_equal", lambda r1, r2, v: False)
+    errors = []
+    for command in ("counterexample", "verify-paper"):
+        assert main([command]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        errors.append(out.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("certificate failure: local records differ at t: ")
+
+
+def test_each_element_is_twisted_once(session_build, monkeypatch):
+    from gquadforms import hermitian
+
+    twisted = []
+    real = hermitian.twisted_involution_algebra
+
+    def counting(inv_alg, u_coords):
+        twisted.append(tuple(u_coords))
+        return real(inv_alg, u_coords)
+
+    monkeypatch.setattr(hermitian, "twisted_involution_algebra", counting)
+    cx = session_build.build_counterexample(*session_build.default_quaternions(P))
+    assert len(cx.local_table) == len(cx.places) >= 9
+    # the counterexample search twists each candidate; the winning twist is
+    # reused by the certificate and by every local record of ubar
+    assert twisted and len(set(twisted)) == len(twisted)
+    assert tuple(cx.ubar) in twisted
