@@ -14,7 +14,7 @@ orthogonal/symplectic/unitary kind classification.
 import math
 
 from .funcfield import RatFunc
-from .linalg import KSpan, Mat, span_products
+from .linalg import KSpan, Mat, combination, span_products
 
 
 class Algebra:
@@ -57,10 +57,6 @@ class Algebra:
             raise ValueError("algebra does not contain the identity matrix")
         return cls(p, table, unit, matrices=basis, ambient_n=n)
 
-    @classmethod
-    def from_structure(cls, p, mult_table, unit):
-        return cls(p, mult_table, unit)
-
     # -- coordinates ----------------------------------------------------
 
     @property
@@ -80,14 +76,7 @@ class Algebra:
     def matrix_of(self, coords):
         if self.matrices is None:
             raise ValueError("abstract algebra has no matrix basis")
-        out = Mat.zeros(self.p, self.ambient_n)
-        for c, B in zip(coords, self.matrices):
-            if not c.is_zero():
-                out = out + B * c
-        return out
-
-    def zero_coords(self):
-        return tuple([RatFunc.zero(self.p)] * self.dim)
+        return combination(coords, self.matrices)
 
     def basis_coords(self, i):
         z = [RatFunc.zero(self.p)] * self.dim
@@ -175,30 +164,23 @@ class Algebra:
 class QuotientData:
     """A quotient E/R with explicit lift/project maps in E-coordinates."""
 
-    __slots__ = ("parent", "ideal_span", "algebra", "lift_coords", "_solve_inv")
+    __slots__ = ("parent", "ideal_span", "algebra", "_lift", "_solve_inv")
 
     def __init__(self, parent, ideal_span, algebra, lift_coords, solve_mat):
         self.parent = parent
         self.ideal_span = ideal_span
         self.algebra = algebra
-        self.lift_coords = lift_coords  # list of E-coord tuples, one per quotient basis elt
+        # columns: the E-coordinates of the lift of each quotient basis element
+        # (rows stay explicit, so a 0-dim quotient still lifts to dim E zeros)
+        self._lift = Mat(parent.p, [[L[i] for L in lift_coords] for i in range(parent.dim)])
         self._solve_inv = solve_mat.inverse()
 
     def project(self, e_coords):
         """Coordinates in the quotient of an element of E."""
-        col = Mat(self.parent.p, [[c] for c in e_coords])
-        sol = self._solve_inv * col
-        r = self.ideal_span.dim
-        return tuple(sol.rows[i][0] for i in range(r, self.parent.dim))
+        return self._solve_inv.apply(e_coords)[self.ideal_span.dim :]
 
     def lift(self, q_coords):
-        out = [RatFunc.zero(self.parent.p)] * self.parent.dim
-        for c, L in zip(q_coords, self.lift_coords):
-            if not c.is_zero():
-                for idx, x in enumerate(L):
-                    if not x.is_zero():
-                        out[idx] = out[idx] + c * x
-        return tuple(out)
+        return self._lift.apply(q_coords)
 
 
 def quotient_algebra(E, ideal_vectors):
@@ -224,7 +206,7 @@ def quotient_algebra(E, ideal_vectors):
             row.append(qd_tmp.project(prod))
         table.append(row)
     unit = qd_tmp.project(E.unit)
-    Q = Algebra.from_structure(p, table, unit)
+    Q = Algebra(p, table, unit)
     qd_tmp.algebra = Q
     return qd_tmp
 
@@ -266,7 +248,7 @@ def algebra_from_span(alg, vectors):
         unit = aug.solve(tuple(rhs))
         if unit is None:
             raise ValueError("span has no unit element")
-    sub = Algebra.from_structure(alg.p, table, tuple(unit))
+    sub = Algebra(alg.p, table, tuple(unit))
     return sub, sp
 
 
@@ -304,9 +286,7 @@ class InvolutionAlgebra:
             raise ValueError("involution must fix the identity")
 
     def apply(self, coords):
-        col = Mat(self.algebra.p, [[c] for c in coords])
-        out = self.inv_mat * col
-        return tuple(out.rows[i][0] for i in range(self.algebra.dim))
+        return self.inv_mat.apply(coords)
 
     def symmetric_basis(self):
         D = self.inv_mat - Mat.identity(self.algebra.p, self.algebra.dim)

@@ -36,6 +36,7 @@ from .grpalg import (
     jacobson_radical,
     quotient_with_involution,
     require_semisimple,
+    tensor_radical,
     verdict_from_components,
 )
 from .hermitian import (
@@ -47,7 +48,7 @@ from .hermitian import (
     records_equal,
 )
 from .jsonio import dump_json as report_to_json
-from .linalg import KSpan, Mat, PolyMat
+from .linalg import KSpan, Mat, PolyMat, combination
 from .quadform import QuadForm, equivalent_global, invariants_report, is_hyperbolic
 
 
@@ -327,16 +328,7 @@ class TensorBundle:
 
     def lift_of(self, coords):
         """Matrix lift of quotient coordinates along the complement."""
-        return _combination(coords, self.lift_mats)
-
-
-def _combination(coeffs, mats):
-    """The sum of M * c over the nonzero c; the zero matrix if every c is zero."""
-    out = None
-    for c, M in zip(coeffs, mats):
-        if not c.is_zero():
-            out = M * c if out is None else out + M * c
-    return out if out is not None else Mat.zeros(mats[0].p, mats[0].nrows)
+        return combination(coords, self.lift_mats)
 
 
 def tensor_pair(b1, b2):
@@ -363,15 +355,10 @@ def tensor_pair(b1, b2):
         for g, M in pa.items():
             if X * M != M * X:
                 raise CertificateError(f"tensor basis fails to commute at {g}")
-    E = EndAlgebra(
-        p,
-        64,
-        [X.to_mat() for X in tensor_basis],
-        tensor_factors=(b1.end_algebra, b1.radical, b2.end_algebra, b2.radical),
-    )
+    E = EndAlgebra(p, 64, [X.to_mat() for X in tensor_basis])
     if E.dim != b1.end_algebra.dim * b2.end_algebra.dim:
         raise CertificateError("dim E != dim E1 * dim E2")
-    rad = jacobson_radical(E)
+    rad = tensor_radical(b1.end_algebra, b1.radical, b2.end_algebra, b2.radical)
     if rad.dim != E.dim - 16:
         raise CertificateError("tensor radical dimension mismatch")
     # quotient: tensor of the factor quotients (pi = pi1 (x) pi2)
@@ -394,7 +381,7 @@ def tensor_pair(b1, b2):
                         )
                     )
             table.append(row)
-    Ebar = Algebra.from_structure(p, table, tens(A1.unit, A2.unit))
+    Ebar = Algebra(p, table, tens(A1.unit, A2.unit))
     cols = []
     for a1 in range(dq1):
         i1 = b1.quotient.involution.apply(A1.basis_coords(a1))
@@ -463,7 +450,7 @@ def _factor_lift_for_basis(b, lifts):
     quot = b.quotient.quotient
     cols = [quot.project(alg.coords_of(L)) for L in lifts]
     Minv = Mat(b.module.p, cols).T.inverse()
-    return [_combination(col, lifts) for col in Minv.T.rows]
+    return [combination(col, lifts) for col in Minv.T.rows]
 
 
 # ---------------------------------------------------------------------------

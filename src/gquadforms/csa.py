@@ -9,7 +9,7 @@ exactly as in the unipotent-module construction this feeds into.
 """
 
 from .funcfield import Place, RatFunc, hilbert_symbol, support, square_class
-from .linalg import KSpan, Mat, matrix_units
+from .linalg import KSpan, Mat, combination, matrix_units
 from .algebra import Algebra, InvolutionAlgebra
 
 
@@ -196,9 +196,7 @@ class SandwichIso:
 
     def decompose(self, M):
         """Coordinates of M on the f(b_i (x) b_j) basis, (i, j) row-major."""
-        col = Mat(self.H.p, [[e] for e in M.flatten()])
-        out = self._coord_inv * col
-        return [out.rows[i][0] for i in range(16)]
+        return self._coord_inv.apply(M.flatten())
 
     def verify_homomorphism(self):
         """f(u)f(u') = f(uu') on all 16 x 16 basis products of H (x) H^op."""
@@ -224,24 +222,15 @@ class RhoInvolution:
     def __init__(self, H):
         self.H = H
         self.f = SandwichIso(H)
-        self._table = None
+        # f(tau(x) (x) conj(y)) per sandwich basis element x (x) y, (x, y)
+        # row-major: sigma on H^op is the canonical involution y° -> conj(y)°
+        basis = H.basis()
+        twisted = [twisted_involution(H, x) for x in basis]
+        self._table = [self.f.apply(tx, quat_conj(y)) for tx in twisted for y in basis]
 
     def apply(self, M):
         """rho(M) by pushing tau (x) sigma through the sandwich basis."""
-        coords = self.f.decompose(M)
-        basis = self.H.basis()
-        out = Mat.zeros(self.H.p, 4)
-        idx = 0
-        for x in basis:
-            tx = twisted_involution(self.H, x)
-            for y in basis:
-                c = coords[idx]
-                idx += 1
-                if c.is_zero():
-                    continue
-                # sigma on H^op is the canonical involution: y° -> conj(y)°
-                out = out + self.f.apply(tx, quat_conj(y)) * c
-        return out
+        return combination(self.f.decompose(M), self._table)
 
     def fixes_generators(self):
         return all(self.apply(M) == M for M in (self.f.a1, self.f.a2, self.f.a3))
@@ -375,10 +364,9 @@ def quaternion_from_algebra(alg):
     for i in range(len(combos)):
         for j in range(i + 1, len(combos)):
             seeds.append(tuple(a + b for a, b in zip(combos[i], combos[j])))
+    pure_cols = Mat(p, pure).T
     for combo in seeds:
-        u = alg.zero_coords()
-        for c, base in zip(combo, pure):
-            u = alg.add(u, alg.smul(c, base))
+        u = pure_cols.apply(combo)
         s = square_scalar(u)
         if s is not None and not s.is_zero():
             x2 = u

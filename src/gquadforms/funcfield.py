@@ -867,14 +867,24 @@ def support(a, b):
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("support requires nonzero arguments")
-    places = set()
-    for r in (a, b):
-        for f in (r.num, r.den):
-            if f.degree > 0:
-                _, factors = f.factor()
-                for pi, _ in factors:
-                    places.add(Place.finite(pi))
-    places.add(Place.infinity(a.p))
+    return places_of(a.p, [divisor(a), divisor(b)])
+
+
+def divisor(a):
+    """The finite divisor {pi: v_pi(a)} of a nonzero a: one factorisation
+    each of its numerator and denominator (coprime, so no pi is in both)."""
+    out = {}
+    for f, sign in ((a.num, 1), (a.den, -1)):
+        if f.degree > 0:
+            for pi, e in f.factor()[1]:
+                out[pi] = sign * e
+    return out
+
+
+def places_of(p, divisors):
+    """The finite places in any of the divisors, plus infinity, sorted."""
+    places = {Place.finite(pi) for div in divisors for pi in div}
+    places.add(Place.infinity(p))
     return sorted(places, key=Place.sort_key)
 
 
@@ -896,18 +906,24 @@ class SquareClass:
     def of(cls, a):
         if a.is_zero():
             raise ValueError("zero has no square class")
-        p = a.p
+        return cls.of_product(a.p, [a], [divisor(a)])
+
+    @classmethod
+    def of_product(cls, p, factors, divisors):
+        """Square class of the product of nonzero `factors`, given the
+        `divisor` of each: the valuations add, so nothing is refactored, and
+        the leading coefficients multiply (denominators are monic)."""
         counts = {}
-        for f, sign in ((a.num, 1), (a.den, -1)):
-            if f.degree > 0:
-                _, factors = f.factor()
-                for pi, e in factors:
-                    counts[pi] = counts.get(pi, 0) + sign * e
+        for div in divisors:
+            for pi, e in div.items():
+                counts[pi] = counts.get(pi, 0) + e
         m = Poly.one(p)
-        for pi, e in sorted(counts.items(), key=lambda it: it[0].sort_key()):
+        for pi, e in counts.items():
             if e % 2:
                 m = m * pi
-        lead = (a.num.lc * pow(a.den.lc, p - 2, p)) % p
+        lead = 1
+        for a in factors:
+            lead = lead * a.num.lc % p
         return cls(p, not is_square_mod(lead, p), m)
 
     @classmethod
@@ -984,16 +1000,12 @@ def sqrt_of_square(a):
     p = a.p
     out_num = Poly.one(p)
     out_den = Poly.one(p)
-    for f, sign in ((a.num, 1), (a.den, -1)):
-        if f.degree > 0:
-            _, factors = f.factor()
-            for pi, e in factors:
-                if e % 2:
-                    raise ValueError("argument is not a square in F_p(t)")
-                if sign > 0:
-                    out_num = out_num * pi ** (e // 2)
-                else:
-                    out_den = out_den * pi ** (e // 2)
-    lead = (a.num.lc * pow(a.den.lc, p - 2, p)) % p
-    c = sqrt_mod(lead, p)
+    for pi, e in divisor(a).items():
+        if e % 2:
+            raise ValueError("argument is not a square in F_p(t)")
+        if e > 0:
+            out_num = out_num * pi ** (e // 2)
+        else:
+            out_den = out_den * pi ** (-e // 2)
+    c = sqrt_mod(a.num.lc, p)  # the denominator is monic
     return RatFunc(out_num.scale(c), out_den)

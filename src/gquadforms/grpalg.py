@@ -21,10 +21,12 @@ Every batch of matrix work runs in one of two domains, chosen per call
 from the matrices themselves: int64 numpy mod p when `linalg.int64_stack`
 accepts them (F_p-constant entries within the int64 range: a constant
 module, its commutant and radical), exact `Mat`/`KSpan` arithmetic over
-F_p(t) otherwise.  The fork sits inside two kernels only, `_cut_values`
-for the radical chain and `linalg.span_products` for RREF bases, closure,
-structure constants and the certificate's ideal and nilpotency checks, so
-no caller has a second code path and both domains give identical results.
+F_p(t) otherwise.  The fork sits in three places: `_cut_values` for the
+radical chain, `linalg.span_products` for RREF bases, closure, structure
+constants and the certificate's ideal and nilpotency checks, and
+`endomorphism_algebra`, which solves for the commutant with
+`_commutant_constant` (mod p nullspace) or `commutant_of_matrices` (exact
+solve).  Both domains give identical results.
 """
 
 import math
@@ -38,6 +40,7 @@ from .linalg import (
     KSpan,
     Mat,
     PolyMat,
+    combination,
     int64_stack,
     matrix_units,
     modp_nullspace,
@@ -179,13 +182,12 @@ def check_module(m):
 class EndAlgebra:
     """End_{k[G]}(V) as a list of spanning matrices (RREF-normalized)."""
 
-    __slots__ = ("p", "n", "basis", "tensor_factors", "_algebra", "_span", "_poly_basis")
+    __slots__ = ("p", "n", "basis", "_algebra", "_span", "_poly_basis")
 
-    def __init__(self, p, n, basis, tensor_factors=None):
+    def __init__(self, p, n, basis):
         self.p = p
         self.n = n
         self.basis = list(basis)
-        self.tensor_factors = tensor_factors
         self._algebra = None
         self._span = None
         self._poly_basis = None
@@ -423,14 +425,7 @@ def _radical_chain(p, n, mats):
     q = 1
     while J:
         combos = _semilinear_nullspace(p, _cut_values(p, n, q, J, J), q)
-        newJ = []
-        for combo in combos:
-            X = Mat.zeros(p, n, J[0].ncols)
-            for c, M in zip(combo, J):
-                if not c.is_zero():
-                    X = X + M * c
-            newJ.append(X)
-        newJ = span_products(p, newJ)
+        newJ = span_products(p, [combination(combo, J) for combo in combos])
         # exact recheck: every chain element really satisfies the cut
         if any(not v.is_zero() for row in _cut_values(p, n, q, newJ, J) for v in row):
             raise CertificateError("semilinear solve returned a non-solution; chain aborted")
@@ -497,14 +492,8 @@ def _batched_charpoly_coeff(Zs, n, q, p):
 
 
 def jacobson_radical(E):
-    """Radical of an EndAlgebra, with certificate.
-
-    Tensor-built algebras use the structural ideal generated by the factor
-    radicals (certified at the factor level plus a semisimple quotient
-    recheck); everything else runs the characteristic-p chain directly.
-    """
-    if E.tensor_factors is not None:
-        return _tensor_radical(E)
+    """Radical of an EndAlgebra by the characteristic-p chain, with
+    certificate.  (A tensor-built algebra takes `tensor_radical` instead.)"""
     rad = _radical_chain(E.p, E.n, E.basis)
     return RadicalResult(rad, certify_radical(E, rad))
 
@@ -589,7 +578,7 @@ def poly_mats(mats):
     return [PolyMat.from_mat(M.clear_denominators()) for M in mats]
 
 
-def _tensor_radical(E):
+def tensor_radical(E1, rad1, E2, rad2):
     """Radical of E1 (x) E2 as the ideal generated by R1 and R2 (factored).
 
     A k-basis is {r (x) e} for r in R1, e in E2, together with
@@ -602,8 +591,7 @@ def _tensor_radical(E):
     property for R, and the quotient is rechecked at the 16-dim level by
     the caller.
     """
-    E1, rad1, E2, rad2 = E.tensor_factors
-    p = E.p
+    p = E1.p
     lifts1 = complement_lifts(p, rad1.basis, E1.basis)
     if len(lifts1) + rad1.dim != E1.dim:
         raise CertificateError("factor complement has wrong dimension")
@@ -635,7 +623,7 @@ class QuotientWithInvolution:
 
     __slots__ = ("end_algebra", "quotient", "involution", "radical", "parent_iota")
 
-    def __init__(self, end_algebra, quotient, involution, radical, parent_iota=None):
+    def __init__(self, end_algebra, quotient, involution, radical, parent_iota):
         self.end_algebra = end_algebra
         self.quotient = quotient  # QuotientData
         self.involution = involution  # InvolutionAlgebra on the quotient
@@ -687,7 +675,7 @@ def quotient_with_involution(E, radical, iota):
             raise InputError("involution does not preserve the algebra")
         cols.append(quot.project(c))
     inv_alg = InvolutionAlgebra(quot.algebra, Mat(E.p, cols).T)  # verifies iota^2, anti-mult
-    return QuotientWithInvolution(E, quot, inv_alg, radical, parent_iota=iota)
+    return QuotientWithInvolution(E, quot, inv_alg, radical, iota)
 
 
 class ComponentReport:
@@ -1027,10 +1015,8 @@ def is_projective(m):
     group_mats = _all_group_elements(m)
     span = KSpan(p)
     for vec in basis_vecs:
-        col = Mat(p, [[x] for x in vec])
         for gmat in group_mats:
-            out = gmat * col
-            span.add([out.rows[i][0] for i in range(m.dim)])
+            span.add(gmat.apply(vec))
     return span.dim == m.dim
 
 

@@ -209,16 +209,10 @@ def clifford_quaternion_pair(inv_alg):
     for l in Lbasis:
         for idx in range(16):
             rows.append([bracket(tuple(b), tuple(l))[idx] for b in skew])
-    combos = Mat(p, rows).nullspace()
-    minus_vecs = []
-    for combo in combos:
-        v = A.zero_coords()
-        for c, b in zip(combo, skew):
-            v = A.add(v, A.smul(c, tuple(b)))
-        minus_vecs.append(v)
+    skew_cols = Mat(p, skew).T
     lie_minus = KSpan(p)
-    for v in minus_vecs:
-        lie_minus.add(list(v))
+    for combo in Mat(p, rows).nullspace():
+        lie_minus.add(skew_cols.apply(combo))
     if lie_minus.dim != 3:
         raise ExtractionError("centralizer ideal is not 3-dimensional")
     both = KSpan(p)
@@ -237,13 +231,9 @@ def clifford_quaternion_pair(inv_alg):
         from .csa import quaternion_from_algebra
 
         quat, local_coords = quaternion_from_algebra(sub)
-        ambient = []
-        for lc in local_coords:
-            v = A.zero_coords()
-            for c, row in zip(lc, sub_span.basis_rows()):
-                v = A.add(v, A.smul(c, tuple(row)))
-            ambient.append(v)
-        members.append(PairMember(quat, tuple(ambient), [tuple(r) for r in sp.basis_rows()]))
+        sub_cols = Mat(p, sub_span.basis_rows()).T
+        ambient = tuple(sub_cols.apply(lc) for lc in local_coords)
+        members.append(PairMember(quat, ambient, [tuple(r) for r in sp.basis_rows()]))
 
     # exact certificates: commuting, generating, canonical restriction
     for x in members[0].lie_basis:

@@ -11,6 +11,10 @@ Two representations coexist:
   are reduced mod p afterwards.  This is what makes the 64-dimensional
   tensor computations cheap.
 
+`Mat.apply` is the one matrix-vector product (M v as a tuple) and
+`combination` the one linear combination of matrices (the sum of M c over
+the nonzero c); every coordinate map in the library goes through them.
+
 `span_products` is the one batched kernel for RREF bases of matrix lists
 and for the coordinates of matrix products in a span: int64 mod p when
 every matrix is F_p-constant within its stated range, exact `Mat`/`KSpan`
@@ -115,6 +119,20 @@ class Mat:
                 row.append(acc)
             out.append(row)
         return Mat(self.p, out)
+
+    def apply(self, vec):
+        """M v as a tuple, skipping zero entries on both sides like `__mul__`."""
+        zero = RatFunc.zero(self.p)
+        nz = [(j, x) for j, x in enumerate(vec) if not x.is_zero()]
+        out = []
+        for r in self.rows:
+            acc = zero
+            for j, x in nz:
+                a = r[j]
+                if not a.is_zero():
+                    acc = acc + a * x
+            out.append(acc)
+        return tuple(out)
 
     @property
     def T(self):
@@ -311,6 +329,16 @@ class Mat:
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
         return f"Mat[{body}]"
+
+
+def combination(coeffs, mats):
+    """The sum of M * c over the nonzero c; the zero matrix of the matrices'
+    shape if every c is zero."""
+    out = None
+    for c, M in zip(coeffs, mats):
+        if not c.is_zero():
+            out = M * c if out is None else out + M * c
+    return out if out is not None else Mat.zeros(mats[0].p, mats[0].nrows, mats[0].ncols)
 
 
 def matrix_units(p, n):

@@ -12,9 +12,11 @@ formulas; completions are never materialized.
 from .funcfield import (
     Place,
     RatFunc,
+    SquareClass,
+    divisor,
     hilbert_symbol,
     is_local_square,
-    support,
+    places_of,
     square_class,
 )
 from .linalg import Mat, symmetric_diagonalize
@@ -23,7 +25,7 @@ from .linalg import Mat, symmetric_diagonalize
 class QuadForm:
     """Nondegenerate symmetric Gram matrix over F_p(t)."""
 
-    __slots__ = ("gram", "_diag", "_transform", "_bad", "_disc", "_local")
+    __slots__ = ("gram", "_diag", "_transform", "_divs", "_bad", "_disc", "_local")
 
     def __init__(self, gram, _diagonal=None):
         if not gram.is_symmetric():
@@ -31,6 +33,7 @@ class QuadForm:
         self.gram = gram
         self._diag = list(_diagonal) if _diagonal is not None else None
         self._transform = None
+        self._divs = None
         self._bad = None
         self._disc = None
         # LocalUnit per (diagonal entry, place), filled by hasse_invariant
@@ -80,25 +83,22 @@ class QuadForm:
             self.diagonalize()
         return list(self._diag)
 
+    def _divisors(self):
+        """The `divisor` of each diagonal entry, factored once per form."""
+        if self._divs is None:
+            self._divs = [divisor(e) for e in self.diagonal()]
+        return self._divs
+
     def disc(self):
-        """Square class of det(gram)."""
+        """Square class of det(gram): that of the product of the diagonal entries."""
         if self._disc is None:
-            d = RatFunc.one(self.p)
-            for e in self.diagonal():
-                d = d * e
-            self._disc = square_class(d)
+            self._disc = SquareClass.of_product(self.p, self.diagonal(), self._divisors())
         return self._disc
 
     def bad_places(self):
         """Finite places dividing any diagonal entry, plus infinity."""
-        if self._bad is not None:
-            return list(self._bad)
-        places = set()
-        one = RatFunc.one(self.p)
-        for e in self.diagonal():
-            places.update(support(e, one))
-        places.add(Place.infinity(self.p))
-        self._bad = sorted(places, key=Place.sort_key)
+        if self._bad is None:
+            self._bad = places_of(self.p, self._divisors())
         return list(self._bad)
 
     def hasse_invariant(self, v):

@@ -311,6 +311,26 @@ def test_library_has_no_broad_exception_handlers():
     assert broad == []
 
 
+def test_library_builds_no_one_column_matrices():
+    # a matrix-vector product is Mat.apply; Mat([[x] for x in v]) fakes one
+    import ast
+    import pathlib
+
+    import gquadforms
+
+    columns = []
+    for path in sorted(pathlib.Path(gquadforms.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Mat"):
+                continue
+            if any(
+                isinstance(arg, ast.ListComp) and isinstance(arg.elt, ast.List) and len(arg.elt.elts) == 1
+                for arg in node.args
+            ):
+                columns.append(f"{path.name}:{node.lineno}")
+    assert columns == []
+
+
 # ---------------------------------------------------------------------
 # projectivity and verdicts
 # ---------------------------------------------------------------------

@@ -210,3 +210,34 @@ def test_modp_helpers():
     ns = modp_nullspace(A, P)
     assert ns.shape == (1, 3)
     assert not ((A @ ns.T) % P).any()
+
+
+def _sparse_rf(rng, p):
+    """Zero a third of the time; otherwise a polynomial or a fraction with a
+    monic quadratic denominator, half and half."""
+    if rng.random() < 1 / 3:
+        return RatFunc.zero(p)
+    num = Poly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 4))])
+    if rng.random() < 0.5:
+        return RatFunc(num)
+    return RatFunc(num, Poly(p, [rng.randrange(p), rng.randrange(p), 1]))
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+def test_apply_and_combination_match_the_loops_they_replace(p):
+    from gquadforms.linalg import combination
+
+    rng = random.Random(p)
+    zero = RatFunc.zero(p)
+    for n, m in ((1, 1), (3, 3), (2, 5), (5, 2), (4, 1), (1, 4)):
+        M = Mat(p, [[_sparse_rf(rng, p) for _ in range(m)] for _ in range(n)])
+        for vec in [[_sparse_rf(rng, p) for _ in range(m)] for _ in range(4)] + [[zero] * m]:
+            assert M.apply(vec) == tuple((M * Mat(p, [[x] for x in vec])).flatten())
+        mats = [Mat(p, [[_sparse_rf(rng, p) for _ in range(m)] for _ in range(n)]) for _ in range(4)]
+        for coeffs in [[_sparse_rf(rng, p) for _ in mats] for _ in range(4)] + [[zero] * 4]:
+            old = Mat.zeros(p, n, m)
+            for c, B in zip(coeffs, mats):
+                if not c.is_zero():
+                    old = old + B * c
+            new = combination(coeffs, mats)
+            assert new == old and (new.nrows, new.ncols) == (n, m)

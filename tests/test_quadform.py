@@ -330,3 +330,43 @@ def test_invariants_report_at_large_prime():
     assert time.perf_counter() - t0 < 1.0
     assert q.disc().nonsquare_unit  # 2 is a nonsquare mod p (p = 3 mod 8)
     assert rep["rank"] == 3 and rep["disc"] == "2*t^3+2*t"
+
+
+def _forms_with_fractions(seed):
+    rng = random.Random(seed)
+    forms = [_random_form(rng, n) for n in (1, 2, 4, 7)]
+    forms.append(diag("t/t^2+1", "2*t^2+t", "1/t", "t-1/t+1", "2"))
+    forms.append(diag("1", "2", "1"))
+    return forms
+
+
+def test_disc_and_bad_places_match_their_definitions():
+    one = RatFunc.one(P)
+    for q in _forms_with_fractions(5):
+        d = one
+        for e in q.diagonal():
+            d = d * e
+        assert q.disc() == square_class(d)
+        places = {Place.infinity(P)}
+        for e in q.diagonal():
+            places.update(funcfield.support(e, one))
+        assert q.bad_places() == sorted(places, key=Place.sort_key)
+
+
+def test_disc_and_bad_places_factor_each_entry_once(monkeypatch):
+    calls = []
+    factor = Poly.factor
+
+    def counting(self):
+        calls.append(self)
+        return factor(self)
+
+    for q in _forms_with_fractions(6):
+        expected = sum(f.degree > 0 for e in q.diagonal() for f in (e.num, e.den))
+        calls.clear()
+        monkeypatch.setattr(Poly, "factor", counting)
+        for _ in range(2):
+            q.disc()
+            q.bad_places()
+        monkeypatch.setattr(Poly, "factor", factor)
+        assert len(calls) == expected
