@@ -182,6 +182,11 @@ class QuotientData:
     def lift(self, q_coords):
         return self._lift.apply(q_coords)
 
+    def lift_matrices(self):
+        """Carrier matrices of the lifts of the quotient basis: the E basis
+        matrices `quotient_algebra` picked outside the ideal."""
+        return [self.parent.matrix_of(col) for col in self._lift.T.rows]
+
 
 def quotient_algebra(E, ideal_vectors):
     """Quotient of E by the span of the given ideal coordinate vectors."""

@@ -17,7 +17,9 @@ from .algebra import Algebra, InvolutionAlgebra
 from .csa import (
     Quaternion,
     SandwichIso,
+    quat_mul,
     rho_involution,
+    right_mult_matrix,
     solve_alpha,
     tensor_m2q,
 )
@@ -30,7 +32,6 @@ from .grpalg import (
     QuotientWithInvolution,
     RadicalResult,
     check_module,
-    complement_lifts,
     decompose_components,
     endomorphism_algebra,
     jacobson_radical,
@@ -122,8 +123,6 @@ def verify_EN(N, H):
         raise CertificateError(f"dim R_N = {rad.dim}, expected 16")
     # block shapes: E_N = [[x, y], [0, x]] with x in the right-multiplication
     # algebra; R_N = [[0, y], [0, 0]]
-    from .csa import right_mult_matrix
-
     rm_span = KSpan(p)
     for e in H.basis():
         rm_span.add(right_mult_matrix(e).flatten())
@@ -140,11 +139,7 @@ def verify_EN(N, H):
         if not (_block(X, 0, 0).is_zero() and _block(X, 1, 1).is_zero() and _block(X, 1, 0).is_zero()):
             raise CertificateError("R_N element violates the strict block shape")
     # explicit isomorphism quotient ~ H^op on the zero-y lifts z -> [[R_z,0],[0,R_z]]
-    alg = E.algebra()
-    rad_coords = [alg.coords_of(M) for M in rad.basis]
-    from .algebra import quotient_algebra
-
-    quot = quotient_algebra(alg, rad_coords)
+    alg, quot = E.algebra(), rad.quotient
     basis = H.basis()
     images = []
     for z in basis:
@@ -159,8 +154,6 @@ def verify_EN(N, H):
         img_span.add(list(c))
     if img_span.dim != 4:
         raise CertificateError("quotient images of the quaternion basis are dependent")
-    from .csa import quat_mul
-
     for i, z in enumerate(basis):
         for j, w in enumerate(basis):
             # multiplication in H^op: z deg w = (w z); images must multiply accordingly
@@ -400,15 +393,10 @@ def tensor_pair(b1, b2):
     ok, badgen = gamma.verify_generator_inverses()
     if not ok:
         raise CertificateError(f"tensor gamma(g) != g^-1 at generator {badgen}")
-    # complement lifts: Kronecker products of the factor complements,
-    # gamma-equivariant by the factor block structure
-    lifts1 = complement_lifts(p, b1.radical.basis, b1.end_algebra.basis)
-    lifts2 = complement_lifts(p, b2.radical.basis, b2.end_algebra.basis)
-    lifts1 = [M.clear_denominators() for M in lifts1]
-    lifts2 = [M.clear_denominators() for M in lifts2]
-    # order must match the quotient basis ordering used above: express each
-    # factor lift in quotient coordinates and change basis accordingly
-    lift_mats = _ordered_lift_products(b1, lifts1, b2, lifts2)
+    # complement lifts: Kronecker products of the factor quotients' lifts,
+    # in the order of the tensor quotient basis built above
+    lifts2 = b2.radical.quotient.lift_matrices()
+    lift_mats = [L1.kron(L2) for L1 in b1.radical.quotient.lift_matrices() for L2 in lifts2]
     checks = {
         "dim_module": N.dim,
         "dim_end": E.dim,
@@ -431,26 +419,6 @@ def tensor_pair(b1, b2):
         lift_mats=lift_mats,
         checks=checks,
     )
-
-
-def _ordered_lift_products(b1, lifts1, b2, lifts2):
-    """Lift matrices matching the tensor quotient basis coordinates.
-
-    The tensor quotient basis is indexed by pairs of factor quotient basis
-    elements; each factor lift is re-expressed so that lift_mats[i] projects
-    exactly to the i-th tensor basis vector (no rescaling allowed here).
-    """
-    m2 = _factor_lift_for_basis(b2, lifts2)
-    return [L1.kron(L2) for L1 in _factor_lift_for_basis(b1, lifts1) for L2 in m2]
-
-
-def _factor_lift_for_basis(b, lifts):
-    """Matrices lifting exactly the quotient basis vectors of one factor."""
-    alg = b.end_algebra.algebra()
-    quot = b.quotient.quotient
-    cols = [quot.project(alg.coords_of(L)) for L in lifts]
-    Minv = Mat(b.module.p, cols).T.inverse()
-    return [combination(col, lifts) for col in Minv.T.rows]
 
 
 # ---------------------------------------------------------------------------

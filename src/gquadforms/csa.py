@@ -323,7 +323,6 @@ def quaternion_from_algebra(alg):
     p = alg.p
     if alg.dim != 4:
         raise ValueError("quaternion extraction expects a 4-dimensional algebra")
-    two_inv = RatFunc.from_int(p, pow(2, p - 2, p))
     # reduced trace = (1/2) * regular trace in degree 2
     trace_rows = [[alg.left_mult_matrix(alg.basis_coords(i)).trace() for i in range(4)]]
     pure = Mat(p, trace_rows).nullspace()
@@ -382,7 +381,6 @@ def quaternion_from_algebra(alg):
         sp.add(list(vec))
     if sp.dim != 4:
         raise ValueError("1, i, j, ij do not span the algebra")
-    del two_inv
     return Quaternion(a, b), (alg.unit, x1, x2, x3)
 
 

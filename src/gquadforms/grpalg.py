@@ -27,6 +27,12 @@ constants and the certificate's ideal and nilpotency checks, and
 `endomorphism_algebra`, which solves for the commutant with
 `_commutant_constant` (mod p nullspace) or `commutant_of_matrices` (exact
 solve).  Both domains give identical results.
+
+The semisimple quotient E/R is built in one place: `certify_radical`
+constructs it to certify the radical and returns it in the
+`RadicalResult`.  `quotient_with_involution`, the no-form branch of
+`hp_verdict` and the construction stages read `radical.quotient`, whose
+lifts are the first E basis matrices outside the radical.
 """
 
 import math
@@ -207,9 +213,6 @@ class EndAlgebra:
     def contains(self, M):
         return self.span().contains(M.flatten())
 
-    def coords_of(self, M):
-        return self.span().coordinates(M.flatten())
-
     def algebra(self):
         """Structure-constant view, built once through `span_products`:
         int64 mod p for a constant algebra (dim E up to a few hundred at
@@ -366,11 +369,17 @@ def _is_scalar_multiple_of_identity(B, ident):
 
 
 class RadicalResult:
-    __slots__ = ("basis", "certificate")
+    """Radical basis, its certificate dict, and the certified quotient E/R
+    (`QuotientData`, built by `certify_radical`).  A `tensor_radical`
+    result has no quotient: the tensor E/R is assembled in
+    `construct.tensor_pair` from the factor quotients."""
 
-    def __init__(self, basis, certificate):
+    __slots__ = ("basis", "certificate", "quotient")
+
+    def __init__(self, basis, certificate, quotient=None):
         self.basis = basis
         self.certificate = certificate
+        self.quotient = quotient
 
     @property
     def dim(self):
@@ -493,9 +502,9 @@ def _batched_charpoly_coeff(Zs, n, q, p):
 
 def jacobson_radical(E):
     """Radical of an EndAlgebra by the characteristic-p chain, with
-    certificate.  (A tensor-built algebra takes `tensor_radical` instead.)"""
-    rad = _radical_chain(E.p, E.n, E.basis)
-    return RadicalResult(rad, certify_radical(E, rad))
+    certificate and quotient.  (A tensor-built algebra takes
+    `tensor_radical` instead.)"""
+    return certify_radical(E, _radical_chain(E.p, E.n, E.basis))
 
 
 def require_semisimple(alg, message):
@@ -506,7 +515,8 @@ def require_semisimple(alg, message):
 
 
 def certify_radical(E, rad_basis):
-    """Certificate that rad_basis spans the radical of E.
+    """Certified `RadicalResult` of rad_basis as the radical of E, carrying
+    the quotient E/R it certifies.
 
     Checks: independent; two-sided ideal; nilpotent with index <= dim (by
     powering the ideal span); the quotient is semisimple (its radical
@@ -553,24 +563,13 @@ def certify_radical(E, rad_basis):
     require_semisimple(quot.algebra, "quotient by the radical candidate is not semisimple")
     if alg.dim != len(rad) + quot.algebra.dim:
         raise CertificateError("dimension bookkeeping failed in radical certificate")
-    return {
+    cert = {
         "ideal": True,
         "nilpotency_index": steps,
         "quotient_radical_dim": 0,
         "dims": {"algebra": alg.dim, "radical": len(rad), "quotient": quot.algebra.dim},
     }
-
-
-def complement_lifts(p, sub_basis, full_basis):
-    """Matrices from full_basis extending span(sub_basis) to span(full_basis)."""
-    sp = KSpan(p)
-    for M in sub_basis:
-        sp.add(M.flatten())
-    out = []
-    for M in full_basis:
-        if sp.add(M.flatten()):
-            out.append(M)
-    return out
+    return RadicalResult(rad, cert, quot)
 
 
 def poly_mats(mats):
@@ -581,21 +580,17 @@ def poly_mats(mats):
 def tensor_radical(E1, rad1, E2, rad2):
     """Radical of E1 (x) E2 as the ideal generated by R1 and R2 (factored).
 
-    A k-basis is {r (x) e} for r in R1, e in E2, together with
-    {l (x) r} for l a complement of R1 in E1 and r in R2: this realizes the
-    direct sum R = R1 (x) E2 + L1 (x) R2, so independence is structural
-    (Kronecker products of independent families are independent) and no
-    64x64 span reduction is needed.  The certificate carries the factor
+    A k-basis is {r (x) e} for r in R1, e in E2, together with {l (x) r}
+    for l a lift of the basis of E1/R1 (`rad1.quotient`) and r in R2: this
+    realizes the direct sum R = R1 (x) E2 + L1 (x) R2, so independence is
+    structural (Kronecker products of independent families are independent)
+    and no 64x64 span reduction is needed.  The certificate carries the factor
     certificates: R_i two-sided nilpotent ideals with semisimple quotients;
     with Kronecker bilinearity this yields R^(i1+i2-1) = 0 and the ideal
     property for R, and the quotient is rechecked at the 16-dim level by
     the caller.
     """
-    p = E1.p
-    lifts1 = complement_lifts(p, rad1.basis, E1.basis)
-    if len(lifts1) + rad1.dim != E1.dim:
-        raise CertificateError("factor complement has wrong dimension")
-
+    lifts1 = rad1.quotient.lift_matrices()
     e2, r2 = E2.poly_basis(), poly_mats(rad2.basis)
     basis = [r.kron(e).to_mat() for r in poly_mats(rad1.basis) for e in e2]
     basis += [l.kron(r).to_mat() for l in poly_mats(lifts1) for r in r2]
@@ -651,26 +646,17 @@ def quotient_with_involution(E, radical, iota):
     inside R is exact; failure signals an involution incompatible with the
     form (per the contract, an error rather than a convention).
     """
-    alg = E.algebra()
-    rad_coords = []
+    quot = radical.quotient
+    if quot is None:
+        raise ValueError("radical carries no certified quotient; tensor_pair builds a tensor radical's")
+    alg = quot.parent
     for M in radical.basis:
-        c = alg.coords_of(M)
-        if c is None:
-            raise CertificateError("radical basis escaped the algebra span")
-        rad_coords.append(c)
-    rad_span = alg.subspace(rad_coords)
-    for M in radical.basis:
-        img = iota(M)
-        c = alg.coords_of(img)
-        if c is None or not rad_span.contains(list(c)):
+        c = alg.coords_of(iota(M))
+        if c is None or not quot.ideal_span.contains(list(c)):
             raise InputError("involution does not preserve the radical")
-    quot = quotient_algebra(alg, rad_coords)
-    d = quot.algebra.dim
     cols = []
-    for a in range(d):
-        lift = alg.matrix_of(quot.lift(quot.algebra.basis_coords(a)))
-        img = iota(lift)
-        c = alg.coords_of(img)
+    for lift in quot.lift_matrices():
+        c = alg.coords_of(iota(lift))
         if c is None:
             raise InputError("involution does not preserve the algebra")
         cols.append(quot.project(c))
@@ -1098,9 +1084,6 @@ def hp_verdict(m, form=None):
         return verdict_from_components(comps, "orthogonal-components-split", evidence)
     # no form supplied: the criterion can still be settled when every
     # component is split (then orthogonal ones are split for any involution)
-    alg = E.algebra()
-    coords = span_products(E.p, rad.basis, basis=alg.matrices)
-    quot = quotient_algebra(alg, coords)
-    comps = decompose_components_plain(quot.algebra)
+    comps = decompose_components_plain(rad.quotient.algebra)
     return verdict_from_components(comps, "all-components-split", evidence)
 

@@ -21,10 +21,10 @@ every matrix is F_p-constant within its stated range, exact `Mat`/`KSpan`
 arithmetic otherwise, with the same answer either way.
 
 Charpoly is Berkowitz (division-free: correct in characteristic p).
-Symmetric diagonalization is fraction-free via leading principal minors
-(Jacobi), with symmetric pivoting and the e_i + e_j trick for zero
-diagonals; pivot modifications restart the elimination on the transformed
-matrix so exact divisibility is preserved.
+Symmetric diagonalization is congruence elimination over the field: each
+pivot is inverted exactly, a nonzero diagonal entry is swapped in when the
+pivot vanishes, and a zero diagonal block is broken by e_i <- e_i + e_j
+(valid since p is odd).
 """
 
 import numpy as np
@@ -242,13 +242,8 @@ class Mat:
 
     def inverse(self):
         n = self.nrows
-        aug = Mat(
-            self.p,
-            [
-                list(self.rows[i]) + list(Mat.identity(self.p, n).rows[i])
-                for i in range(n)
-            ],
-        )
+        ident = Mat.identity(self.p, n).rows
+        aug = Mat(self.p, [self.rows[i] + ident[i] for i in range(n)])
         R, pivots = aug.rref()
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix not invertible")

@@ -14,15 +14,17 @@ from gquadforms.grpalg import (
     EndAlgebra,
     GModule,
     GroupSpec,
+    RadicalResult,
     check_module,
     decompose_components,
     endomorphism_algebra,
     hp_verdict,
     is_projective,
     jacobson_radical,
+    quotient_with_involution,
 )
 from gquadforms.jsonio import dump_json
-from gquadforms.linalg import Mat, int64_stack, matrix_units, modp_rref, span_products
+from gquadforms.linalg import KSpan, Mat, int64_stack, matrix_units, modp_rref, span_products
 from gquadforms.quadform import QuadForm
 
 P = 3
@@ -574,7 +576,7 @@ def _span_outputs(p, n, mats, rad, certify=True):
     E.verify_closure()
     out = {"rref": span_products(p, mats), "rad_rref": span_products(p, rad)}
     if certify:
-        out["certificate"] = grpalg.certify_radical(E, rad)
+        out["certificate"] = grpalg.certify_radical(E, rad).certificate
     alg = E.algebra()  # built by the certificate when there is one
     out.update(table=alg.mult_table, unit=alg.unit, basis=alg.matrices)
     return out
@@ -602,6 +604,108 @@ def test_span_products_domains_agree_on_kc3cubed(monkeypatch):
     assert fast.pop("certificate")["nilpotency_index"] == 7
     _exact_domain(monkeypatch)
     assert _span_outputs(P, 27, E.basis, rad, certify=False) == fast
+
+
+# ---------------------------------------------------------------------
+# the certified quotient E/R
+# ---------------------------------------------------------------------
+
+
+def _assert_certified_quotient_is_fresh(E, rad):
+    alg = E.algebra()
+    quot = rad.quotient
+    fresh = quotient_algebra(alg, span_products(P, rad.basis, basis=alg.matrices))
+    assert quot.parent is alg
+    assert quot.algebra.mult_table == fresh.algebra.mult_table
+    assert quot.algebra.unit == fresh.algebra.unit
+    assert quot.ideal_span.basis_rows() == fresh.ideal_span.basis_rows()
+    basis = [quot.algebra.basis_coords(a) for a in range(quot.algebra.dim)]
+    assert [quot.lift(x) for x in basis] == [fresh.lift(x) for x in basis]
+    # the lifts are the first E basis matrices outside the radical
+    outside = KSpan(P)
+    for M in rad.basis:
+        outside.add(M.flatten())
+    assert quot.lift_matrices() == [M for M in E.basis if outside.add(M.flatten())]
+
+
+def test_certified_quotient_matches_a_fresh_quotient(bundle1, bundle2):
+    for b in (bundle1, bundle2):
+        assert b.quotient.quotient is b.radical.quotient
+        _assert_certified_quotient_is_fresh(b.end_algebra, b.radical)
+    for i, boxes in enumerate(_BOXES):
+        E = endomorphism_algebra(_box_module(P, boxes, seed=i))
+        _assert_certified_quotient_is_fresh(E, jacobson_radical(E))
+
+
+def test_quotient_built_once_per_bundle_and_per_verdict(monkeypatch, h1, bundle1):
+    import gquadforms.algebra
+    from gquadforms.construct import bundle
+
+    calls = []
+
+    def counting(E, ideal_vectors):
+        calls.append(E.dim)
+        return quotient_algebra(E, ideal_vectors)
+
+    # patched where it is defined too, so a function-level import is counted
+    for module in (gquadforms.algebra, grpalg):
+        monkeypatch.setattr(module, "quotient_algebra", counting)
+    bundle(h1, prefix="g")
+    assert calls == [20]
+    for args in ((_box_module(P, _BOXES[0], seed=0),), (bundle1.module, bundle1.form)):
+        calls.clear()
+        hp_verdict(*args)
+        assert len(calls) == 1
+
+
+def _upper_triangular_radical():
+    e11, e12, _, e22 = matrix_units(P, 2)
+    E = EndAlgebra(P, 2, [e11, e12, e22])
+    return E, jacobson_radical(E)
+
+
+def test_quotient_with_involution_rejects_an_involution_moving_the_radical():
+    E, rad = _upper_triangular_radical()
+    assert rad.dim == 1
+    with pytest.raises(InputError, match="involution does not preserve the radical"):
+        quotient_with_involution(E, rad, lambda M: M.T)
+
+
+def test_quotient_with_involution_needs_a_certified_quotient():
+    # a tensor_radical result carries no quotient
+    E, rad = _upper_triangular_radical()
+    with pytest.raises(ValueError, match="radical carries no certified quotient"):
+        quotient_with_involution(E, RadicalResult(rad.basis, rad.certificate), lambda M: M)
+
+
+def test_certify_radical_is_the_only_caller_of_quotient_algebra():
+    # E/R is built where it is certified; every stage reads radical.quotient
+    import ast
+    import pathlib
+
+    import gquadforms
+
+    class Callers(ast.NodeVisitor):
+        def __init__(self, name):
+            self.scope, self.found = [name], []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "quotient_algebra":
+                self.found.append(":".join(self.scope))
+            self.generic_visit(node)
+
+    callers = []
+    for path in sorted(pathlib.Path(gquadforms.__file__).parent.glob("*.py")):
+        visitor = Callers(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        callers += visitor.found
+    assert callers == ["grpalg.py:certify_radical"]
 
 
 def _kc3():
