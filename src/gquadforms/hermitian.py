@@ -61,7 +61,7 @@ class InducedInvolution:
         return True, None
 
 
-def induced_involution(module, form, kron_factors=None):
+def induced_involution(module, form):
     """Involution induced by a G-invariant form; rejects non-invariant input."""
     if form.rank != module.dim:
         raise InputError("form rank does not match the module dimension")
@@ -76,7 +76,7 @@ def induced_involution(module, form, kron_factors=None):
         for g, M in module.action.items():
             if M.T * A * M != A:
                 raise InputError(f"form is not G-invariant at generator {g}")
-    return InducedInvolution(module, A, kron_factors=kron_factors)
+    return InducedInvolution(module, A)
 
 
 def class_element(base_form, other_form, gamma, end_algebra=None):

@@ -145,10 +145,12 @@ class Mat:
         return acc
 
     def kron(self, other):
+        """Kronecker product, skipping zero entries like `__mul__`."""
+        zero = RatFunc.zero(self.p)
         out = []
         for r1 in self.rows:
             for r2 in other.rows:
-                out.append([a * b for a in r1 for b in r2])
+                out.append([zero if a.is_zero() or b.is_zero() else a * b for a in r1 for b in r2])
         return Mat(self.p, out)
 
     def flatten(self):

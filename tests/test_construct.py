@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from gquadforms.csa import Quaternion
-from gquadforms.errors import InputError
+from gquadforms.errors import CertificateError, InputError
 from gquadforms.funcfield import Place, RatFunc
 from gquadforms.grpalg import direct_tensor_commutant
 from gquadforms.jsonio import dump_json
@@ -121,6 +122,50 @@ def test_direct_commutant_agrees_with_kron_path(tensor_bundle, bundle1, bundle2)
         assert span2.contains(M.flatten())
 
 
+def test_tensor_pair_rejects_a_factor_basis_that_does_not_commute(bundle1, bundle2):
+    from gquadforms.construct import tensor_pair
+    from gquadforms.grpalg import EndAlgebra
+    from gquadforms.linalg import matrix_units
+
+    # E_40 lies in the lower-left block, which is zero on all of E_N
+    basis = [matrix_units(P, 8)[4 * 8]] + bundle1.end_algebra.basis[1:]
+    bad = dataclasses.replace(bundle1, end_algebra=EndAlgebra(P, 8, basis))
+    with pytest.raises(CertificateError, match="^factor basis fails to commute at g1$"):
+        tensor_pair(bad, bundle2)
+
+
+def test_tensor_pair_and_bundle_check_each_claim_once(monkeypatch, h1, bundle1, bundle2):
+    from gquadforms import construct, grpalg
+    from gquadforms.hermitian import InducedInvolution
+
+    products, modules, inverses = [], [], []
+
+    def counting(calls, real):
+        def wrapped(*args):
+            calls.append(args)
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(PolyMat, "__mul__", counting(products, PolyMat.__mul__))
+    counting_check = counting(modules, grpalg.check_module)
+    # patched in construct too, so a module-level import there is counted
+    monkeypatch.setattr(grpalg, "check_module", counting_check)
+    monkeypatch.setattr(construct, "check_module", counting_check, raising=False)
+    monkeypatch.setattr(
+        InducedInvolution,
+        "verify_generator_inverses",
+        counting(inverses, InducedInvolution.verify_generator_inverses),
+    )
+    construct.tensor_pair(bundle1, bundle2)
+    # 2 factors x 20 basis elements x 3 generators x 2 sides, all 8x8
+    assert len(products) == 240
+    assert {(a.shape, b.shape) for a, b in products} == {((8, 8), (8, 8))}
+    assert modules == [] and inverses == []
+    construct.bundle(h1, prefix="g")
+    assert len(modules) == 1 and inverses == []
+
+
 # ---------------------------------------------------------------------
 # the full pipeline (3.4)
 # ---------------------------------------------------------------------
@@ -232,6 +277,20 @@ def test_failed_local_check_is_one_certificate_failure(session_build, monkeypatc
         errors.append(out.err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("certificate failure: local records differ at t: ")
+
+
+def test_verify_paper_recomputes_gram_invariance(session_build, monkeypatch):
+    from gquadforms import verifypaper
+
+    def with_identity_form(H1, H2):
+        # symmetric and nondegenerate, but not G-invariant
+        cx = session_build.build_counterexample(H1, H2)
+        b1 = dataclasses.replace(cx.b1, form=QuadForm(Mat.identity(P, 8)))
+        return dataclasses.replace(cx, b1=b1)
+
+    monkeypatch.setattr(verifypaper, "build_counterexample", with_identity_form)
+    failed = [name for name, ok in verifypaper.run_paper_identities(P) if not ok]
+    assert failed == ["Gram: g^T A g = A for all generators"]
 
 
 def test_each_element_is_twisted_once(session_build, monkeypatch):

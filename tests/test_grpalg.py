@@ -149,8 +149,7 @@ def test_radical_kc3_augmentation_ideal():
     # the radical is the augmentation-type ideal: g - 1 generates it
     g = _cyclic_regular(P)
     ident = Mat.identity(P, P)
-    span_probe = E.span()
-    assert span_probe.contains((g - ident).flatten())
+    assert E.contains(g - ident)
     from gquadforms.linalg import KSpan
 
     sp = KSpan(P)
@@ -678,8 +677,9 @@ def test_quotient_with_involution_needs_a_certified_quotient():
         quotient_with_involution(E, RadicalResult(rad.basis, rad.certificate), lambda M: M)
 
 
-def test_certify_radical_is_the_only_caller_of_quotient_algebra():
-    # E/R is built where it is certified; every stage reads radical.quotient
+def _library_callers(name):
+    """The "file:function" of each call of `name` (as a name or an
+    attribute) in the gquadforms package, nested functions joined by ":"."""
     import ast
     import pathlib
 
@@ -696,7 +696,7 @@ def test_certify_radical_is_the_only_caller_of_quotient_algebra():
 
         def visit_Call(self, node):
             f = node.func
-            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "quotient_algebra":
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
                 self.found.append(":".join(self.scope))
             self.generic_visit(node)
 
@@ -705,7 +705,25 @@ def test_certify_radical_is_the_only_caller_of_quotient_algebra():
         visitor = Callers(path.name)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         callers += visitor.found
-    assert callers == ["grpalg.py:certify_radical"]
+    return callers
+
+
+def test_certify_radical_is_the_only_caller_of_quotient_algebra():
+    # E/R is built where it is certified; every stage reads radical.quotient
+    assert _library_callers("quotient_algebra") == ["grpalg.py:certify_radical"]
+
+
+def test_module_and_generator_inverse_checks_run_once():
+    # a module is checked where public input enters, and gamma(g) = g^-1
+    # follows from the G-invariance check in `induced_involution`; only
+    # verify-paper recomputes either claim on a built bundle
+    assert set(_library_callers("check_module")) == {
+        "grpalg.py:endomorphism_algebra",
+        "grpalg.py:is_projective",
+        "grpalg.py:hp_verdict",
+        "verifypaper.py:run_paper_identities",
+    }
+    assert set(_library_callers("verify_generator_inverses")) == {"verifypaper.py:run_paper_identities"}
 
 
 def _kc3():

@@ -47,6 +47,30 @@ def test_direct_64dim_commutant_block_stages(tensor_bundle, bundle1, bundle2):
         assert X * M == M * X
 
 
+def test_tensor_claims_taken_from_the_factors_hold_at_64_dims(tensor_bundle, bundle1, bundle2):
+    """Re-prove on the 64-dim data what `tensor_pair` derives from the factor
+    checks: a valid module, gamma(g) = g^-1, a G-invariant Kronecker Gram,
+    and a Kronecker E basis that commutes with all six generators."""
+    from gquadforms.grpalg import check_module
+    from gquadforms.linalg import PolyMat
+
+    tb = tensor_bundle
+    assert check_module(tb.module).valid
+    assert tb.gamma.verify_generator_inverses() == (True, None)
+    pa = tb.module.poly_action()
+    assert len(pa) == 6
+    gram = PolyMat.from_mat(bundle1.form.gram.kron(bundle2.form.gram))
+    assert gram == PolyMat.from_mat(tb.form.gram)
+    for M in pa.values():
+        assert M.T * gram * M == gram
+    pm1, pm2 = bundle1.end_algebra.poly_basis(), bundle2.end_algebra.poly_basis()
+    basis = [x.kron(y) for x in pm1 for y in pm2]
+    assert len(basis) == tb.end_algebra.dim == 400
+    for X in basis:
+        for M in pa.values():
+            assert X * M == M * X
+
+
 def test_q_prime_direct_rediagonalization(pipeline_report):
     """Reparse the emitted Gram pair and recheck their global equivalence
     with a fresh 64x64 elimination."""
