@@ -3,20 +3,31 @@ the block form q with Gram [[0, alpha], [-alpha, 0]], the induced
 involution, the tensor pair over G x G, and the assembled counterexample
 with a machine-checkable report.
 
-Every claim of the construction is checked once, exactly, on the data it
-is about, and a failed check raises CertificateError or InputError: the
-pipeline never emits an unverified pair.  Per factor (`bundle`):
-- the module N (g^p = I, commuting generators): `endomorphism_algebra`,
-  called by `verify_EN`;
-- E_N and R_N (dimensions, block shapes, E_N/R_N = H^op): `verify_EN`, and
-  the radical certificate in `jacobson_radical`;
-- rho symplectic with its fixed generators, alpha skew, A symmetric:
-  `build_q`;
-- G-invariance g^T A g = A: `induced_involution`.  It also proves
-  gamma(g) = A^-1 g^T A g = g^-1;
-- gamma preserves E_N and induces x -> Trd(x) - x on the quotient: `bundle`.
-The tensor stage re-proves none of these at 64 dims; `tensor_pair` says
-why the factor checks carry over.
+Every claim is proved once, exactly, on the data it is about; a failed
+check raises, so the pipeline never emits an unverified pair.  What proves
+each key of a bundle's `checks` (the report's `factor_checks`):
+- dim_module, dim_end: `endomorphism_algebra` in `verify_EN`, which also
+  checks the module (g^p = I, commuting generators) and E_N's closure;
+- dim_radical: the radical certificate in `jacobson_radical`;
+- quotient_isomorphic_to_Hop: `verify_EN` (block shapes, and E_N/R_N's
+  structure constants against H^op);
+- rho_symplectic, alpha_skew, gram_symmetric: `solve_alpha` in `build_q`
+  proves rho(X) = alpha^-1 X^T alpha with alpha skew and invertible, so rho
+  is the adjoint of a nondegenerate skew form (symplectic, dim Sym 6), and
+  [[0, alpha], [-alpha, 0]] is symmetric because alpha is skew;
+- gram_G_invariant: `induced_involution` (g^T A g = A, i.e. gamma(g) = g^-1);
+- quotient_involution_canonical: `quotient_with_involution` maps the
+  radical basis into R_N and the lifts into E_N, a basis of E_N, so gamma
+  preserves E_N; `_verify_canonical_quotient_involution` proves
+  ibar(x) = Trd(x) - x, the canonical (symplectic) involution of H^op.
+And each key of a tensor bundle's `checks` (the report's `tensor_checks`):
+- dim_module, dim_end, gram_G_invariant: the factor checks, carried over
+  by the mixed-product rule (see `tensor_pair`);
+- dim_radical: `tensor_radical`, and dim R = dim E - 16 in `tensor_pair`;
+- dim_quotient, quotient_semisimple: the quotient is the tensor product of
+  the two certified quaternion quotients, so it is central simple;
+- quotient_kind, quotient_sym_dim: `kind()` in `tensor_pair`, "orthogonal"
+  at degree 4 only when dim Sym = 10.
 """
 
 from dataclasses import dataclass
@@ -24,9 +35,9 @@ from dataclasses import dataclass
 from .algebra import Algebra, InvolutionAlgebra
 from .csa import (
     Quaternion,
+    RhoInvolution,
     SandwichIso,
     quat_mul,
-    rho_involution,
     right_mult_matrix,
     solve_alpha,
     tensor_m2q,
@@ -43,7 +54,6 @@ from .grpalg import (
     endomorphism_algebra,
     jacobson_radical,
     quotient_with_involution,
-    require_semisimple,
     tensor_radical,
     verdict_from_components,
 )
@@ -197,34 +207,23 @@ def _block_diag(A, B):
 def build_q(H):
     """Gram A = [[0, alpha], [-alpha, 0]] from the symplectic involution.
 
-    alpha is normalized to a primitive polynomial matrix whose first
-    nonzero entry is monic (a deterministic scalar gauge; the scalar is
-    free in the construction).
+    `solve_alpha` proves rho(X) = alpha^-1 X^T alpha on all 16 matrix units
+    with alpha skew and invertible, so rho is the adjoint involution of a
+    nondegenerate skew form: symplectic, with dim Sym = 6.  A is symmetric
+    because alpha is skew.  alpha is normalized to a primitive polynomial
+    matrix whose first nonzero entry is monic (a deterministic scalar
+    gauge; the scalar is free in the construction).
     """
-    ia_rho, rho = rho_involution(H)
-    if ia_rho.kind() != "symplectic":
-        raise CertificateError("rho is not symplectic")
-    if ia_rho.sym_dim() != 6:
-        raise CertificateError("dim Sym(rho) != 6")
+    rho = RhoInvolution(H)
     if not rho.fixes_generators():
         raise CertificateError("rho does not fix the sandwich generators")
     alpha = _primitive_scale(solve_alpha(rho, H))
-    p = H.p
-    if alpha.T != -alpha:
-        raise CertificateError("alpha is not skew-symmetric")
+    Z = Mat.zeros(H.p, 4)
     A = Mat(
-        p,
-        [
-            list(Mat.zeros(p, 4).rows[i]) + list(alpha.rows[i])
-            for i in range(4)
-        ]
-        + [
-            list((-alpha).rows[i]) + list(Mat.zeros(p, 4).rows[i])
-            for i in range(4)
-        ],
+        H.p,
+        [list(Z.rows[i]) + list(alpha.rows[i]) for i in range(4)]
+        + [list((-alpha).rows[i]) + list(Z.rows[i]) for i in range(4)],
     )
-    if A != A.T:
-        raise CertificateError("A is not symmetric")
     return QuadForm(A), alpha
 
 
@@ -251,13 +250,7 @@ def bundle(H, prefix="g"):
     report, E, rad = verify_EN(N, H)
     q, alpha = build_q(H)
     gamma = induced_involution(N, q)
-    for X in E.basis:
-        img = gamma.apply_matrix(X)
-        if not E.contains(img):
-            raise CertificateError("gamma does not preserve E_N")
     quot = quotient_with_involution(E, rad, gamma.apply_matrix)
-    if quot.involution.kind() != "symplectic":
-        raise CertificateError("quotient involution is not the canonical one (kind)")
     _verify_canonical_quotient_involution(quot)
     checks = dict(report)
     checks.update(
@@ -283,7 +276,7 @@ def bundle(H, prefix="g"):
 
 
 def _verify_canonical_quotient_involution(quot):
-    """ibar(x) = Trd(x) - x on the whole quotient basis."""
+    """ibar(x) = Trd(x) - x on the whole quotient basis; returns True."""
     algq = quot.algebra
     p = algq.p
     half = RatFunc.from_int(p, pow(2, p - 2, p))
@@ -293,6 +286,7 @@ def _verify_canonical_quotient_involution(quot):
         expected = algq.sub(algq.smul(trd, algq.unit), x)
         if quot.involution.apply(x) != expected:
             raise CertificateError("quotient involution is not x -> Trd(x) - x")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +330,10 @@ def tensor_pair(b1, b2):
       from the factors' `induced_involution`;
     - the radical: `tensor_radical`, from the factor certificates.
     What does not factor is checked on the tensor data: dim R = dim E - 16,
-    and the 16-dim quotient is semisimple with an orthogonal involution of
-    dim Sym 10.
+    and the involution of the 16-dim quotient is orthogonal (`kind()`,
+    which at degree 4 means dim Sym = 10).  The quotient is the tensor
+    product of the two certified quaternion quotients, so it is central
+    simple without a further check.
     """
     p = b1.module.p
     N = b1.module.tensor(b2.module)
@@ -390,12 +386,12 @@ def tensor_pair(b1, b2):
         for a2 in range(dq2):
             cols.append(tens(i1, b2.quotient.involution.apply(A2.basis_coords(a2))))
     gbar = InvolutionAlgebra(Ebar, Mat(p, cols).T)
-    if gbar.kind() != "orthogonal" or gbar.sym_dim() != 10:
+    # at degree 4, kind() is "orthogonal" only when dim Sym = 10
+    if gbar.kind() != "orthogonal":
         raise CertificateError("tensor quotient involution is not orthogonal of Sym-dim 10")
-    require_semisimple(Ebar, "tensor quotient is not semisimple")
     # gamma = gamma1 (x) gamma2, the adjoint of the Kronecker Gram; its
     # G-invariance is the factors' (see the docstring)
-    gamma = InducedInvolution(N, gram, kron_factors=(G1, G2))
+    gamma = InducedInvolution(N, gram, gram_inv=b1.gamma.gram_inv.kron(b2.gamma.gram_inv))
     # complement lifts: Kronecker products of the factor quotients' lifts,
     # in the order of the tensor quotient basis built above
     lifts2 = b2.radical.quotient.lift_matrices()

@@ -103,9 +103,6 @@ class QuatElem:
     def conj(self):
         return quat_conj(self)
 
-    def trd(self):
-        return self.coords[0] + self.coords[0]
-
     def nrd(self):
         """Reduced norm x * conj(x), asserted to land in k."""
         prod = self * self.conj()

@@ -926,10 +926,6 @@ class SquareClass:
             lead = lead * a.num.lc % p
         return cls(p, not is_square_mod(lead, p), m)
 
-    @classmethod
-    def trivial(cls, p):
-        return cls(p, False, Poly.one(p))
-
     def is_trivial(self):
         return not self.nonsquare_unit and self.squarefree.is_one()
 

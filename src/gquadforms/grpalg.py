@@ -222,16 +222,13 @@ class EndAlgebra:
         return self._poly_basis
 
     def verify_closure(self):
-        """Multiplicative closure and the identity, checked on all pairs
-        in one `span_products` batch."""
-        p, basis = self.p, self.basis
-        if span_products(p, [Mat.identity(p, self.n)], basis=basis)[0] is None:
-            raise CertificateError("endomorphism span misses the identity")
-        products = span_products(p, basis, basis, basis)
-        for k, coords in enumerate(products):
-            if coords is None:
-                i, j = divmod(k, len(basis))
-                raise CertificateError(f"endomorphism span not closed at basis pair ({i}, {j})")
+        """Multiplicative closure and the identity: building `algebra()`
+        computes every basis product's coordinates once, and its
+        `ValueError` is re-raised as a `CertificateError`."""
+        try:
+            self.algebra()
+        except ValueError as exc:
+            raise CertificateError(f"endomorphism {exc}") from exc
         return True
 
     def __repr__(self):

@@ -10,8 +10,8 @@ made from; a check that the build itself makes and fails raises, and the
 CLI reports it as a certificate failure (exit 3).
 """
 
-from .construct import build_counterexample, default_quaternions
-from .csa import SandwichIso, twisted_involution
+from .construct import _verify_canonical_quotient_involution, build_counterexample, default_quaternions
+from .csa import RhoInvolution, SandwichIso, rho_involution, solve_alpha, twisted_involution
 from .errors import CertificateError, ExtractionError
 from .funcfield import RatFunc
 from .grpalg import check_module
@@ -60,22 +60,28 @@ def run_paper_identities(p=3):
     results.append(
         ("quotient: E_N / R_N isomorphic to the opposite quaternion", b1.checks["quotient_isomorphic_to_Hop"])
     )
-    results.append(("involution: rho symplectic with dim Sym = 6", b1.checks["rho_symplectic"]))
-    results.append(("alpha: skew-symmetric, unique up to scalar", b1.checks["alpha_skew"]))
-    results.append(("Gram: A^T = A", b1.checks["gram_symmetric"]))
+    H = b1.quaternion
+    check(
+        "involution: rho symplectic with dim Sym = 6",
+        lambda: _kind_and_sym_dim(rho_involution(H)[0]) == ("symplectic", 6),
+    )
+    check(
+        "alpha: skew-symmetric, unique up to scalar",
+        lambda: b1.alpha.T == -b1.alpha and _is_scalar_multiple(solve_alpha(RhoInvolution(H), H), b1.alpha),
+    )
+    results.append(("Gram: A^T = A", b1.form.gram.is_symmetric()))
     check("Gram: g^T A g = A for all generators", lambda: induced_involution(b1.module, b1.form))
     check("gamma: gamma(g) = g^{-1} on generators", lambda: b1.gamma.verify_generator_inverses()[0])
     check("gamma: block formula preserves E_N", lambda: _gamma_blocks(b1))
-    results.append(
-        ("quotient involution: x -> Trd(x) - x", b1.checks["quotient_involution_canonical"])
-    )
+    check("quotient involution: x -> Trd(x) - x", lambda: _verify_canonical_quotient_involution(b1.quotient))
 
     tb = cx.tb
     results.append(("tensor: dim E = 400 = 20 * 20", tb.end_algebra.dim == 400))
     results.append(("tensor: dim radical = 384", tb.radical.dim == 384))
     results.append(("tensor: dim quotient = 16", tb.quotient_algebra.dim == 16))
-    results.append(
-        ("tensor: quotient involution orthogonal with dim Sym = 10", tb.checks["quotient_sym_dim"] == 10)
+    check(
+        "tensor: quotient involution orthogonal with dim Sym = 10",
+        lambda: _kind_and_sym_dim(tb.quotient_involution) == ("orthogonal", 10),
     )
 
     ram1 = {str(v) for v in cx.ram1}
@@ -114,6 +120,17 @@ def _norm_identity(H):
         if nrd != expect:
             return False
     return True
+
+
+def _kind_and_sym_dim(inv_alg):
+    return inv_alg.kind(), inv_alg.sym_dim()
+
+
+def _is_scalar_multiple(X, Y):
+    """X = c Y for a nonzero scalar c (Y nonzero)."""
+    i, j = next((i, j) for i, row in enumerate(Y.rows) for j, e in enumerate(row) if not e.is_zero())
+    c = X.rows[i][j] / Y.rows[i][j]
+    return not c.is_zero() and X == Y * c
 
 
 def _gamma_blocks(b):

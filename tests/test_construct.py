@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -7,7 +8,7 @@ import pytest
 from gquadforms.csa import Quaternion
 from gquadforms.errors import CertificateError, InputError
 from gquadforms.funcfield import Place, RatFunc
-from gquadforms.grpalg import direct_tensor_commutant
+from gquadforms.grpalg import direct_tensor_commutant, require_semisimple
 from gquadforms.jsonio import dump_json
 from gquadforms.linalg import KSpan, Mat, PolyMat
 from gquadforms.quadform import QuadForm, equivalent_global, is_hyperbolic
@@ -60,6 +61,8 @@ def test_alpha_and_gram_identities(bundle1):
     pA = PolyMat.from_mat(A)
     for M in pa.values():
         assert M.T * pA * M == pA
+    E = bundle1.end_algebra
+    assert all(E.contains(bundle1.gamma.apply_matrix(X)) for X in E.basis)
 
 
 def test_base_form_is_hyperbolic_rank8(bundle1):
@@ -84,6 +87,8 @@ def test_tensor_dimensions(tensor_bundle):
     assert tensor_bundle.radical.dim == 384
     assert tensor_bundle.quotient_algebra.dim == 16
     assert tensor_bundle.checks["quotient_sym_dim"] == 10
+    require_semisimple(tensor_bundle.quotient_algebra, "tensor quotient is not semisimple")
+    assert tensor_bundle.quotient_involution.sym_dim() == 10
 
 
 def test_tensor_gram_is_kronecker(tensor_bundle, bundle1, bundle2):
@@ -135,35 +140,51 @@ def test_tensor_pair_rejects_a_factor_basis_that_does_not_commute(bundle1, bundl
 
 
 def test_tensor_pair_and_bundle_check_each_claim_once(monkeypatch, h1, bundle1, bundle2):
-    from gquadforms import construct, grpalg
+    from gquadforms import algebra, construct, grpalg
+    from gquadforms.algebra import InvolutionAlgebra
     from gquadforms.hermitian import InducedInvolution
 
-    products, modules, inverses = [], [], []
+    products, modules, inverses, involutions, batches, semisimple, sym_dims = ([] for _ in range(7))
 
     def counting(calls, real):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
         return wrapped
 
     monkeypatch.setattr(PolyMat, "__mul__", counting(products, PolyMat.__mul__))
-    counting_check = counting(modules, grpalg.check_module)
-    # patched in construct too, so a module-level import there is counted
-    monkeypatch.setattr(grpalg, "check_module", counting_check)
-    monkeypatch.setattr(construct, "check_module", counting_check, raising=False)
+    # each patched in construct too, so a module-level import there is counted
+    for name, calls in (("check_module", modules), ("require_semisimple", semisimple)):
+        counted = counting(calls, getattr(grpalg, name))
+        monkeypatch.setattr(grpalg, name, counted)
+        monkeypatch.setattr(construct, name, counted, raising=False)
     monkeypatch.setattr(
         InducedInvolution,
         "verify_generator_inverses",
         counting(inverses, InducedInvolution.verify_generator_inverses),
     )
+    monkeypatch.setattr(InvolutionAlgebra, "__init__", counting(involutions, InvolutionAlgebra.__init__))
+    monkeypatch.setattr(InvolutionAlgebra, "sym_dim", counting(sym_dims, InvolutionAlgebra.sym_dim))
+    for module in (algebra, grpalg):
+        monkeypatch.setattr(module, "span_products", counting(batches, module.span_products))
     construct.tensor_pair(bundle1, bundle2)
     # 2 factors x 20 basis elements x 3 generators x 2 sides, all 8x8
     assert len(products) == 240
     assert {(a.shape, b.shape) for a, b in products} == {((8, 8), (8, 8))}
     assert modules == [] and inverses == []
+    # the quotient is central simple as a tensor product of the certified
+    # quaternion quotients, and kind() pins dim Sym at degree 4: sym_dim
+    # runs once, inside kind()
+    assert semisimple == [] and len(sym_dims) == 1 and len(involutions) == 1
+    del involutions[:], batches[:]
     construct.bundle(h1, prefix="g")
     assert len(modules) == 1 and inverses == []
+    # the quotient involution is the only InvolutionAlgebra (rho's M_4(k)
+    # is not built), and E's 20 x 20 products are computed once
+    assert len(involutions) == 1
+    closure = [args for args in batches if len(args) == 4 and len(args[1]) == len(args[2]) == 20]
+    assert len(closure) == 1
 
 
 # ---------------------------------------------------------------------
@@ -279,18 +300,91 @@ def test_failed_local_check_is_one_certificate_failure(session_build, monkeypatc
     assert errors[0].startswith("certificate failure: local records differ at t: ")
 
 
-def test_verify_paper_recomputes_gram_invariance(session_build, monkeypatch):
+def _failed_paper_lines(session_build, monkeypatch, mutate=lambda cx: cx):
+    """The FAIL lines of verify-paper on `mutate` of the session build."""
     from gquadforms import verifypaper
 
-    def with_identity_form(H1, H2):
-        # symmetric and nondegenerate, but not G-invariant
-        cx = session_build.build_counterexample(H1, H2)
-        b1 = dataclasses.replace(cx.b1, form=QuadForm(Mat.identity(P, 8)))
-        return dataclasses.replace(cx, b1=b1)
+    def mutated(H1, H2):
+        return mutate(session_build.build_counterexample(H1, H2))
 
-    monkeypatch.setattr(verifypaper, "build_counterexample", with_identity_form)
-    failed = [name for name, ok in verifypaper.run_paper_identities(P) if not ok]
+    monkeypatch.setattr(verifypaper, "build_counterexample", mutated)
+    return [name for name, ok in verifypaper.run_paper_identities(P) if not ok]
+
+
+def test_verify_paper_recomputes_gram_invariance(session_build, monkeypatch):
+    def with_identity_form(cx):
+        # symmetric and nondegenerate, but not G-invariant
+        return dataclasses.replace(cx, b1=dataclasses.replace(cx.b1, form=QuadForm(Mat.identity(P, 8))))
+
+    failed = _failed_paper_lines(session_build, monkeypatch, with_identity_form)
     assert failed == ["Gram: g^T A g = A for all generators"]
+
+
+def test_verify_paper_recomputes_rho_kind(session_build, monkeypatch):
+    from gquadforms import verifypaper
+    from gquadforms.algebra import Algebra, InvolutionAlgebra
+    from gquadforms.linalg import matrix_units
+
+    def transpose_involution(H):
+        # X -> X^T on M_4(k): orthogonal, dim Sym = 10
+        alg = Algebra.from_matrices(P, matrix_units(P, 4))
+        cols = [alg.coords_of(M.T) for M in alg.matrices]
+        return InvolutionAlgebra(alg, Mat(P, cols).T), None
+
+    monkeypatch.setattr(verifypaper, "rho_involution", transpose_involution)
+    failed = _failed_paper_lines(session_build, monkeypatch)
+    assert failed == ["involution: rho symplectic with dim Sym = 6"]
+
+
+def test_verify_paper_recomputes_alpha(session_build, monkeypatch):
+    from gquadforms import verifypaper
+
+    # skew, but not a scalar multiple of the bundle's alpha
+    alpha0 = Mat.from_int_rows(P, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    monkeypatch.setattr(verifypaper, "solve_alpha", lambda rho, H: alpha0)
+    failed = _failed_paper_lines(session_build, monkeypatch)
+    assert failed == ["alpha: skew-symmetric, unique up to scalar"]
+
+
+def test_verify_paper_recomputes_gram_symmetry(session_build, monkeypatch):
+    def with_skew_corner(cx):
+        # A + [[0, 0], [0, D]] with D skew is G-invariant for the unipotent
+        # generators [[I, a], [0, I]], but not symmetric
+        form = copy.copy(cx.b1.form)
+        D = [[int((i, j) == (4, 5)) - int((i, j) == (5, 4)) for j in range(8)] for i in range(8)]
+        form.gram = form.gram + Mat.from_int_rows(P, D)
+        return dataclasses.replace(cx, b1=dataclasses.replace(cx.b1, form=form))
+
+    failed = _failed_paper_lines(session_build, monkeypatch, with_skew_corner)
+    assert failed == ["Gram: A^T = A"]
+
+
+def test_verify_paper_recomputes_quotient_involution(session_build, monkeypatch):
+    from gquadforms.algebra import InvolutionAlgebra
+    from gquadforms.grpalg import QuotientWithInvolution
+
+    def with_orthogonal_involution(cx):
+        # x -> u ibar(x) u^-1 for a skew u: an involution, not the canonical one
+        q = cx.b1.quotient
+        A, ibar = q.algebra, q.involution
+        u = tuple(ibar.skew_basis()[0])
+        u_inv = A.inverse(u)
+        cols = [A.mult(A.mult(u, ibar.apply(A.basis_coords(i))), u_inv) for i in range(A.dim)]
+        twisted = InvolutionAlgebra(A, Mat(P, cols).T)
+        quotient = QuotientWithInvolution(q.end_algebra, q.quotient, twisted, q.radical, q.parent_iota)
+        return dataclasses.replace(cx, b1=dataclasses.replace(cx.b1, quotient=quotient))
+
+    failed = _failed_paper_lines(session_build, monkeypatch, with_orthogonal_involution)
+    assert failed == ["quotient involution: x -> Trd(x) - x"]
+
+
+def test_verify_paper_recomputes_tensor_involution(session_build, monkeypatch):
+    def with_symplectic_involution(cx):
+        tb = dataclasses.replace(cx.tb, quotient_involution=cx.b1.quotient.involution)
+        return dataclasses.replace(cx, tb=tb)
+
+    failed = _failed_paper_lines(session_build, monkeypatch, with_symplectic_involution)
+    assert failed == ["tensor: quotient involution orthogonal with dim Sym = 10"]
 
 
 def test_each_element_is_twisted_once(session_build, monkeypatch):

@@ -726,6 +726,12 @@ def test_module_and_generator_inverse_checks_run_once():
     assert set(_library_callers("verify_generator_inverses")) == {"verifypaper.py:run_paper_identities"}
 
 
+def test_only_verify_paper_builds_rho_as_an_involution_algebra():
+    # solve_alpha proves rho is the adjoint of a nondegenerate skew form,
+    # hence symplectic with dim Sym = 6; only verify-paper recomputes both
+    assert _library_callers("rho_involution") == ["verifypaper.py:run_paper_identities"]
+
+
 def _kc3():
     return endomorphism_algebra(GModule(GroupSpec(P, ["g"]), {"g": _cyclic_regular(P)}))
 
@@ -770,9 +776,9 @@ _BAD_INPUTS = [
      "radical candidate is not a two-sided ideal: E basis 2 times radical basis 0 lies outside it"),
     (_bad_non_nilpotent, CertificateError,
      "radical candidate is not nilpotent: power 4 is nonzero, past dim E = 3"),
-    (_bad_missing_identity_end, CertificateError, "endomorphism span misses the identity"),
+    (_bad_missing_identity_end, CertificateError, "endomorphism algebra does not contain the identity matrix"),
     (_bad_missing_identity_alg, ValueError, "algebra does not contain the identity matrix"),
-    (_bad_not_closed_end, CertificateError, "endomorphism span not closed at basis pair (1, 2)"),
+    (_bad_not_closed_end, CertificateError, "endomorphism span not multiplicatively closed at basis pair (1, 2)"),
     (_bad_not_closed_alg, ValueError, "span not multiplicatively closed at basis pair (1, 2)"),
 ]
 

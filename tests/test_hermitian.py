@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gquadforms.errors import InputError
-from gquadforms.funcfield import Place, RatFunc
+from gquadforms.funcfield import Place, RatFunc, square_class
 from gquadforms.hermitian import (
     QuaternionPairShape,
     SplitAdjointShape,
@@ -175,8 +175,11 @@ def test_counterexample_element_certificates(tensor_bundle):
     cert = result["certificate"]
     assert cert["value_for_u"] != cert["value_for_1"]
     assert cert["hyperbolicity_witness_for_u"]
+    A, ubar, e = tensor_bundle.quotient_algebra, result["ubar"], result["witness_idempotent"]
+    assert A.mult(e, e) == e
+    assert shape.twisted_involution(ubar).apply(e) == A.sub(A.unit, e)
+    assert square_class(shape.nrd(ubar)).is_trivial()
     # local triviality at the four ramified places and a couple more
-    ubar = result["ubar"]
     unit = tensor_bundle.quotient_algebra.unit
     for v in shape.q_ramification:
         r_u = shape.local_record(ubar, v)
