@@ -198,8 +198,7 @@ def quotient_algebra(E, ideal_vectors):
         cand = E.basis_coords(i)
         if probe.add(list(cand)):
             lifts.append(cand)
-    d = probe.dim - span.dim
-    assert len(lifts) == d
+    d = len(lifts)
     # solve matrix: columns are (ideal basis | lifts)
     solve_mat = Mat(p, span.basis_rows() + lifts).T
     table = []

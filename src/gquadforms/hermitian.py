@@ -381,6 +381,7 @@ class QuaternionPairShape:
         # element tuple -> [twisted involution, its quaternion pair or None];
         # the twist by 1 is the base involution itself
         self._twists = {tuple(inv_alg.algebra.unit): [inv_alg, self.pair]}
+        self._nrds = {}  # element tuple -> reduced norm (place-independent)
         r1 = set(self.pair[0].quaternion.ramification_set())
         r2 = set(self.pair[1].quaternion.ramification_set())
         self.q_ramification = sorted(r1 ^ r2, key=lambda v: v.sort_key())
@@ -403,7 +404,11 @@ class QuaternionPairShape:
         return entry[1]
 
     def nrd(self, u_coords):
-        return reduced_norm_deg4(self.inv_alg.algebra, u_coords)
+        """Reduced norm of u, computed once per element."""
+        key = tuple(u_coords)
+        if key not in self._nrds:
+            self._nrds[key] = reduced_norm_deg4(self.inv_alg.algebra, u_coords)
+        return self._nrds[key]
 
     def local_record(self, u_coords, v):
         """Complete local record of the class of u at v.
@@ -585,9 +590,8 @@ def _package_counterexample(shape, u, witness):
     A = shape.inv_alg.algebra
     from .csa import _as_scalar
 
+    # u = ab in commuting pair members with nonzero scalar squares: u^2 = a^2 b^2
     usq = _as_scalar(A, A.mult(u, u))
-    if usq is None or usq.is_zero():
-        raise CertificateError("counterexample element does not square to a scalar")
     nrd = shape.nrd(u)
     # Nrd(u) = usq^2 makes Nrd(u) a square; `globally_hyperbolic_certificate`
     # returned the witness only after checking e^2 = e and sigma_u(e) = 1 - e

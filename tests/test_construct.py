@@ -387,6 +387,44 @@ def test_verify_paper_recomputes_tensor_involution(session_build, monkeypatch):
     assert failed == ["tensor: quotient involution orthogonal with dim Sym = 10"]
 
 
+def test_verify_paper_recomputes_quotient_structure_constants(session_build, monkeypatch):
+    from gquadforms.algebra import Algebra
+    from gquadforms.grpalg import RadicalResult
+
+    def with_perturbed_quotient_table(cx):
+        # i * i gains the unit: no longer H^op's structure constants
+        rad = cx.b1.radical
+        quot = copy.copy(rad.quotient)
+        A = quot.algebra
+        table = [list(row) for row in A.mult_table]
+        table[1][1] = A.add(table[1][1], A.unit)
+        quot.algebra = Algebra(P, table, A.unit)
+        radical = RadicalResult(rad.basis, rad.certificate, quot)
+        return dataclasses.replace(cx, b1=dataclasses.replace(cx.b1, radical=radical))
+
+    failed = _failed_paper_lines(session_build, monkeypatch, with_perturbed_quotient_table)
+    assert failed == ["quotient: E_N / R_N isomorphic to the opposite quaternion"]
+
+
+def test_reduced_norm_computed_once_per_element(session_build, monkeypatch):
+    from gquadforms import hermitian
+
+    norms = []
+    real = hermitian.reduced_norm_deg4
+
+    def counting(alg, u_coords):
+        norms.append(tuple(u_coords))
+        return real(alg, u_coords)
+
+    monkeypatch.setattr(hermitian, "reduced_norm_deg4", counting)
+    cx = session_build.build_counterexample(*session_build.default_quaternions(P))
+    # the certificate's Nrd(u) and the local records of ubar and of 1 at
+    # every tabulated place share two computations
+    assert len(cx.places) >= 9
+    assert len(norms) == 2
+    assert set(norms) == {tuple(cx.ubar), tuple(cx.tb.quotient_algebra.unit)}
+
+
 def test_each_element_is_twisted_once(session_build, monkeypatch):
     from gquadforms import hermitian
 

@@ -86,6 +86,47 @@ def test_check_module_commutation_violation():
     assert any("commute" in prob for prob in rep.problems)
 
 
+def _power_test_cases(p, rng):
+    """(matrix, g^p = I?) on random unipotent and non-unipotent matrices,
+    the reference verdict by `** p` on the Mat."""
+    t = RatFunc.t(p)
+    cases = []
+    for n in (2, 3, 4, 5):
+        while True:
+            S = Mat.from_int_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+            if not S.det().is_zero():
+                break
+        Sinv = S.inverse()
+        # unipotent: strictly upper triangular part with polynomial entries
+        # (of nilpotency index up to n, so past p at p = 3 when n > 3)
+        N = Mat(p, [[RatFunc.from_int(p, rng.randrange(p)) + t * RatFunc.from_int(p, rng.randrange(p))
+                     if j > i else RatFunc.zero(p) for j in range(n)] for i in range(n)])
+        cases.append(Sinv * (Mat.identity(p, n) + N) * S)
+        # non-unipotent: a constant matrix, and a unipotent one scaled by 2
+        cases.append(Mat.from_int_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]))
+        cases.append(Sinv * Mat.from_int_rows(p, [[2 * int(i == j) + int(j == i + 1) for j in range(n)]
+                                                  for i in range(n)]) * S)
+    return [(M, M ** p == Mat.identity(p, M.nrows)) for M in cases]
+
+
+@pytest.mark.parametrize("p", [3, 5, 2**31 - 1])
+def test_check_module_power_test_agrees_with_pth_power(monkeypatch, p):
+    # (g - I)^min(p, n) = 0 decides g^p = I on both the PolyMat and the Mat route
+    cases = _power_test_cases(p, random.Random(p))
+    assert {want for _, want in cases} == {True, False}
+
+    def verdicts():
+        return [check_module(GModule(GroupSpec(p, ["g"]), {"g": M})).valid for M, _ in cases]
+
+    assert verdicts() == [want for _, want in cases]
+
+    def no_poly_action(self):
+        raise ValueError("forced Mat route")
+
+    monkeypatch.setattr(GModule, "poly_action", no_poly_action)
+    assert verdicts() == [want for _, want in cases]
+
+
 # ---------------------------------------------------------------------
 # endomorphism algebras
 # ---------------------------------------------------------------------
@@ -398,6 +439,24 @@ def test_hp_verdict_invariant_under_base_change(bundle1):
     assert comps[0]["kind"] == "symplectic"
 
 
+def test_non_polynomial_action_takes_the_mat_route(bundle1):
+    # a base change with a 1/t entry puts denominators into the action and
+    # the Gram, so check_module and induced_involution fall back to Mat
+    m, form = bundle1.module, bundle1.form
+    inv_t = RatFunc(Poly.one(P), Poly.t(P))
+    S = Mat.identity(P, 8) + Mat(P, [[inv_t if (i, j) == (4, 0) else RatFunc.zero(P) for j in range(8)]
+                                     for i in range(8)])
+    conj = _conjugate(m, S)
+    with pytest.raises(ValueError, match="polynomial entries"):
+        conj.poly_action()
+    assert check_module(conj).valid and check_module(m).valid
+    assert hp_verdict(conj) == hp_verdict(m)
+    with_form = hp_verdict(conj, QuadForm(S.T * form.gram * S))
+    assert with_form == hp_verdict(m, form)
+    assert with_form["verdict"] == "guaranteed"
+    assert (with_form["evidence"]["dim_end"], with_form["evidence"]["dim_radical"]) == (20, 16)
+
+
 def _random_constant_algebras(seed=12, trials=12):
     """(n, basis) of the algebras generated by random constant matrices over
     F_P, the generator of the brute-force radical test without its size cap."""
@@ -431,6 +490,69 @@ def test_radical_chain_numpy_and_exact_paths_agree(monkeypatch):
     exact_bases = [grpalg._radical_chain(P, n, mats) for n, mats in cases]
     assert exact_bases == numpy_bases
     assert any(exact_bases) and not all(exact_bases)
+
+
+def _counting(calls, real):
+    def wrapped(*args):
+        calls.append(args)
+        return real(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("which", ["E_N", "box module"])
+def test_cut_values_run_once_per_chain_level(monkeypatch, bundle1, which):
+    E = bundle1.end_algebra if which == "E_N" else endomorphism_algebra(_box_module(P, _BOXES[0], seed=0))
+    cuts, solves = [], []
+    monkeypatch.setattr(grpalg, "_cut_values", _counting(cuts, grpalg._cut_values))
+    monkeypatch.setattr(grpalg, "_semilinear_nullspace", _counting(solves, grpalg._semilinear_nullspace))
+    rad = grpalg._radical_chain(P, E.n, E.basis)
+    # levels q = 1, 3 on the 8 x 8 carrier, each one J x J batch and one solve
+    assert [q for _, _, q, _ in cuts] == [q for _, _, q in solves] == [1, 3]
+    assert len(cuts[0][3]) == E.dim
+    del cuts[:], solves[:]
+    assert jacobson_radical(E).basis == rad
+    assert [q for _, _, q, _ in cuts] == [q for _, _, q in solves]
+
+
+def test_radical_chain_raises_nothing():
+    # certify_radical is the chain's one proof; the chain itself checks nothing
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(grpalg._radical_chain))
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(tree))
+
+
+def _inject_non_solution(monkeypatch):
+    """Make `_semilinear_nullspace` also return a unit vector outside its
+    solution space (a row of the Gram that is nonzero); returns the list
+    of injected indices."""
+    injected = []
+    real = grpalg._semilinear_nullspace
+
+    def wrong(p, gram, q):
+        sols = real(p, gram, q)
+        k = next((k for k, row in enumerate(gram) if any(not v.is_zero() for v in row)), None)
+        if k is not None:
+            injected.append(k)
+            sols = sols + [[RatFunc.from_int(p, int(i == k)) for i in range(len(gram))]]
+        return sols
+
+    monkeypatch.setattr(grpalg, "_semilinear_nullspace", wrong)
+    return injected
+
+
+def test_a_non_solution_in_the_chain_fails_closed(monkeypatch, bundle1):
+    E, quaternion = bundle1.end_algebra, bundle1.radical.quotient.algebra
+    injected = _inject_non_solution(monkeypatch)
+    with pytest.raises(CertificateError, match="^radical candidate is not"):
+        jacobson_radical(E)
+    assert injected
+    del injected[:]
+    with pytest.raises(CertificateError, match="^quaternion quotient$"):
+        grpalg.require_semisimple(quaternion, "quaternion quotient")
+    assert injected
 
 
 def _unipotent_module(p, seed=5):
