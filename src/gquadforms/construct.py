@@ -143,7 +143,6 @@ def verify_EN(N, H):
         rm_span.add(right_mult_matrix(e).flatten())
     for X in E.basis:
         x11 = _block(X, 0, 0)
-        x12 = _block(X, 0, 1)
         x21 = _block(X, 1, 0)
         x22 = _block(X, 1, 1)
         if not x21.is_zero() or x11 != x22:
@@ -430,15 +429,16 @@ def tensor_pair(b1, b2):
 
 
 def sample_unramified_places(p, exclude, count):
-    """First monic irreducibles (by degree, then coefficients) off the bad set."""
+    """The first `count` monic irreducibles (by degree, then coefficients)
+    off the bad set; none for count 0."""
     out = []
     excl = {str(v) for v in exclude}
     for pi in irreducibles(p):
+        if len(out) >= count:
+            break
         v = Place.finite(pi)
         if str(v) not in excl:
             out.append(v)
-            if len(out) >= count:
-                break
     return out
 
 
@@ -467,6 +467,8 @@ class Counterexample:
 def build_counterexample(H1, H2, sample_places=5):
     """Build and certify the counterexample element; every failed check
     raises InputError or CertificateError."""
+    if sample_places < 0:
+        raise InputError(f"the number of sampled places must be nonnegative, got {sample_places}")
     H1, H2 = H1.reduced(), H2.reduced()
     p = H1.p
     ram1 = H1.ramification_set()

@@ -662,7 +662,8 @@ def denominator_lcm(values):
     it = iter(values)
     lcm = next(it).den
     for x in it:
-        lcm = lcm * x.den.exact_div(lcm.gcd(x.den))
+        if not x.den.is_one():
+            lcm = lcm * x.den.exact_div(lcm.gcd(x.den))
     return lcm
 
 

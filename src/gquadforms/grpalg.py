@@ -17,16 +17,18 @@ linear system over F_p(t^q).  The chain's one proof is `certify_radical`
 (ideal, nilpotent, semisimple quotient), which every radical result
 carries, so a bug here cannot silently corrupt downstream verdicts.
 
-Every batch of matrix work runs in one of two domains, chosen per call
-from the matrices themselves: int64 numpy mod p when `linalg.int64_stack`
-accepts them (F_p-constant entries within the int64 range: a constant
-module, its commutant and radical), exact `Mat`/`KSpan` arithmetic over
-F_p(t) otherwise.  The fork sits in three places: `_cut_values` for the
-radical chain, `linalg.span_products` for RREF bases, closure, structure
-constants and the certificate's ideal and nilpotency checks, and
-`endomorphism_algebra`, which solves for the commutant with
-`_commutant_constant` (mod p nullspace) or `commutant_of_matrices` (exact
-solve).  Both domains give identical results.
+The chain's cut values run in one domain: its matrices are cleared of
+denominators and their charpolys come from `linalg.charpoly_coeffs` over
+F_p[t].  Every other batch of matrix work runs in one of two domains,
+chosen per call from the matrices themselves: int64 numpy mod p when
+`linalg.int64_stack` accepts them (F_p-constant entries within the int64
+range: a constant module, its commutant and radical), exact `Mat`/`KSpan`
+arithmetic over F_p(t) otherwise.  The fork sits in two places:
+`linalg.span_products` for RREF bases, closure, structure constants and
+the certificate's ideal and nilpotency checks, and `endomorphism_algebra`,
+which solves for the commutant with `_commutant_constant` (mod p
+nullspace) or `commutant_of_matrices` (exact solve).  Both domains give
+identical results.
 
 The semisimple quotient E/R is built in one place: `certify_radical`
 constructs it to certify the radical and returns it in the
@@ -46,10 +48,14 @@ from .linalg import (
     KSpan,
     Mat,
     PolyMat,
+    charpoly_coeffs,
+    coefficient_stack,
     combination,
+    exact_dtype,
     int64_stack,
     matrix_units,
     modp_nullspace,
+    poly_einsum,
     span_products,
 )
 
@@ -380,13 +386,14 @@ class RadicalResult:
 
 
 def _semilinear_nullspace(p, gram, q):
-    """All c in k^N with sum_m c_m^q gram[m][j] = 0 for each j.
+    """All c in k^N with sum_m c_m^q gram[m][j] = 0 for each j, for a Gram
+    of polynomials (the cut values of denominator-cleared matrices).
 
     For q = 1 this is a plain nullspace.  For q = p^i, substitute
-    d_m = c_m^q in k^q = F_p(t^q): clearing denominators and splitting each
-    polynomial into Frobenius strata f = sum_r t^r f_r(t^q) yields a linear
-    system over F_p(u), u = t^q; its solutions pull back along d = c^q by
-    reinterpreting u as t (coefficients are Frobenius-fixed).
+    d_m = c_m^q in k^q = F_p(t^q): splitting each polynomial into Frobenius
+    strata f = sum_r t^r f_r(t^q) yields a linear system over F_p(u),
+    u = t^q; its solutions pull back along d = c^q by reinterpreting u as t
+    (coefficients are Frobenius-fixed).
     """
     N = len(gram)
     if q == 1:
@@ -394,9 +401,7 @@ def _semilinear_nullspace(p, gram, q):
         return Mat(p, rows).nullspace()
     rows = []
     for j in range(N):
-        column = [gram[m][j] for m in range(N)]
-        scale = RatFunc(denominator_lcm(column))
-        sections = [(e * scale).num.frobenius_sections(q) for e in column]
+        sections = [gram[m][j].num.frobenius_sections(q) for m in range(N)]
         for stratum in zip(*sections):
             row = [RatFunc(f) for f in stratum]
             if any(not e.is_zero() for e in row):
@@ -417,13 +422,16 @@ def _radical_chain(p, n, mats):
     certificate is `certify_radical` (or `require_semisimple`'s zero test):
     a non-solution of the solve only enlarges J, and both then fail closed.
 
-    The domains fork only in `_cut_values`: int64 numpy while `int64_stack`
-    accepts the matrices (F_p constants with n (p-1)^2 < 2^63), exact Mat
-    arithmetic otherwise.  Both give the same values, hence the same basis.
+    One domain: each level clears the denominators of J (a nonzero scalar
+    per element leaves the span alone), so the cut values are polynomials
+    from `linalg.charpoly_coeffs` over F_p[t], in int64 while
+    (n + 1)(p - 1)^2 < 2^63 and in Python integers beyond, and the solve
+    and the combination both run on the cleared matrices.
     """
     J = list(mats)
     q = 1
     while J:
+        J = [M.clear_denominators() for M in J]
         combos = _semilinear_nullspace(p, _cut_values(p, n, q, J), q)
         J = span_products(p, [combination(combo, J) for combo in combos])
         q *= p
@@ -433,58 +441,19 @@ def _radical_chain(p, n, mats):
 
 
 def _cut_values(p, n, q, J):
-    """[[e_q(X Y) for Y in J] for X in J]: the coefficient of T^(n-q) in
-    charpoly(X Y), the trace for q = 1.
+    """[[e_q(X Y) for Y in J] for X in J] up to one common sign, for
+    polynomial matrices J: the coefficient of T^(n-q) in charpoly(X Y).
 
-    When `int64_stack` accepts the matrices, the whole block of products
-    and charpolys is one einsum and one batched Berkowitz call in int64;
-    otherwise each value is an exact Mat product and `Mat.charpoly`.
+    q = 1 is the trace, contracted as sum X_ik Y_ki per pair of degrees with
+    no product formed; q > 1 forms the products X Y one row X at a time and
+    takes their `charpoly_coeffs`.
     """
-    stack = int64_stack(p, J)
-    if stack is None:
-        if q == 1:
-            return [[(X * Y).trace() for Y in J] for X in J]
-        return [[(X * Y).charpoly()[n - q] for Y in J] for X in J]
-    prods = np.einsum("aij,bjk->abik", stack, stack) % p
-    vals = _batched_charpoly_coeff(prods.reshape(-1, n, n), n, q, p)
-    return [[RatFunc.from_int(p, int(v)) for v in row] for row in vals.reshape(len(J), len(J))]
-
-
-def _batched_charpoly_coeff(Zs, n, q, p):
-    """Coefficient of T^(n-q) of charpoly for a batch (B, n, n), mod p.
-
-    Batched Berkowitz; division-free, so valid in characteristic p.  Exact
-    in int64 for residues with n (p-1)^2 < 2^63, the range `int64_stack`
-    admits.
-    """
-    B = Zs.shape[0]
+    S = coefficient_stack(J).astype(exact_dtype(p, n * n if q == 1 else n))
     if q == 1:
-        return np.einsum("bii->b", Zs) % p  # sign-free: vanishing is what matters
-    # charpoly vectors, descending, length r+2 after treating r+1 rows
-    polys = np.zeros((B, 2), dtype=np.int64)
-    polys[:, 0] = 1
-    polys[:, 1] = (-Zs[:, 0, 0]) % p
-    for r in range(1, n):
-        a = Zs[:, r, r]
-        R = Zs[:, r, :r]
-        C = Zs[:, :r, r]
-        A = Zs[:, :r, :r]
-        tvals = np.zeros((B, r + 2), dtype=np.int64)
-        tvals[:, 0] = 1
-        tvals[:, 1] = (-a) % p
-        vec = C
-        for s in range(2, r + 2):
-            tvals[:, s] = (-np.einsum("bi,bi->b", R, vec)) % p
-            if s < r + 1:
-                vec = np.einsum("bij,bj->bi", A, vec) % p
-        new = np.zeros((B, r + 2), dtype=np.int64)
-        for idx in range(r + 2):
-            jmax = min(idx, r + 1)
-            for j in range(max(0, idx - r), jmax + 1):
-                new[:, idx] = (new[:, idx] + tvals[:, j] * polys[:, idx - j]) % p
-        polys = new
-    # polys[:, i] is the coefficient of T^(n - i); we want T^(n - q)
-    return polys[:, q] % p
+        rows = poly_einsum(p, "aikx,bkiy->abxy", S, S).tolist()
+    else:
+        rows = [charpoly_coeffs(p, poly_einsum(p, "ijx,bjky->bikxy", X, S))[:, n - q].tolist() for X in S]
+    return [[RatFunc(Poly(p, v)) for v in row] for row in rows]
 
 
 def jacobson_radical(E):

@@ -20,7 +20,11 @@ and for the coordinates of matrix products in a span: int64 mod p when
 every matrix is F_p-constant within its stated range, exact `Mat`/`KSpan`
 arithmetic otherwise, with the same answer either way.
 
-Charpoly is Berkowitz (division-free: correct in characteristic p).
+One charpoly: `charpoly_coeffs` is a batched, division-free Berkowitz over
+F_p[t] (correct in characteristic p), in int64 while (n + 1)(p - 1)^2 <
+2^63 and in Python integers beyond.  The radical chain's cut values and
+`Mat.charpoly` (on the denominator-cleared matrix) both run through it.
+
 Symmetric diagonalization is congruence elimination over the field: each
 pivot is inverted exactly, a nonzero diagonal entry is swapped in when the
 pivot vanishes, and a zero diagonal block is broken by e_i <- e_i + e_j
@@ -252,76 +256,25 @@ class Mat:
         return Mat(self.p, [list(R.rows[i])[n:] for i in range(n)])
 
     def det(self):
-        """Determinant via fraction-free Bareiss on a denominator-cleared copy."""
-        n = self.nrows
-        if n != self.ncols:
+        """Determinant: (-1)^n times the constant term of `charpoly`."""
+        if self.nrows != self.ncols:
             raise ValueError("det of non-square matrix")
-        p = self.p
-        # clear denominators row by row, tracking the correction factor
-        correction = RatFunc.one(p)
-        rows = []
-        for r in self.rows:
-            scale = RatFunc(denominator_lcm(r))
-            correction = correction * scale
-            rows.append([(e * scale).num for e in r])
-        d = _bareiss_det(p, rows)
-        return RatFunc(d) / correction
+        c0 = self.charpoly()[0]
+        return -c0 if self.nrows % 2 else c0
 
     def charpoly(self):
-        """Characteristic polynomial coefficients [c_0, ..., c_n], c_n = 1.
+        """Characteristic polynomial coefficients [c_0, ..., c_n], c_n = 1,
+        with det(T*I - M) = sum c_i T^i.
 
-        Berkowitz: division-free, valid in characteristic p.  det(T*I - M)
-        = sum c_i T^i.
+        `charpoly_coeffs` on c M, c the lcm of the entry denominators: the
+        coefficient of T^i in charpoly(c M) is c^(n-i) c_i.
         """
-        p = self.p
-        n = self.nrows
-        one = RatFunc.one(p)
-        zero = RatFunc.zero(p)
+        p, n = self.p, self.nrows
         if n == 0:
-            return [one]
-        # vectors of length r+2 of charpoly coefficients of leading principal minors
-        polys = [(-self.rows[0][0], one)]  # charpoly of 1x1 block, ascending
-        for r in range(1, n):
-            a = self.rows[r][r]
-            R = self.rows[r][:r]
-            C = [self.rows[i][r] for i in range(r)]
-            A = [row[:r] for row in self.rows[:r]]
-            # Toeplitz column: [1, -a, -R*C, -R*A*C, -R*A^2*C, ...]
-            tvals = [one, -a]
-            vec = C
-            for _ in range(r - 1):
-                dot = zero
-                for x, y in zip(R, vec):
-                    if not x.is_zero() and not y.is_zero():
-                        dot = dot + x * y
-                tvals.append(-dot)
-                vec = [
-                    sum(
-                        (A[i][j] * vec[j] for j in range(r) if not vec[j].is_zero()),
-                        zero,
-                    )
-                    for i in range(r)
-                ]
-            dot = zero
-            for x, y in zip(R, vec):
-                if not x.is_zero() and not y.is_zero():
-                    dot = dot + x * y
-            tvals.append(-dot)
-            prev = polys[-1]  # ascending coeffs, length r+1
-            new = [zero] * (r + 2)
-            # new (descending conv): new_desc[i] = sum_j tvals[j] * prev_desc[i-j]
-            prev_desc = list(reversed(prev))
-            for i in range(r + 2):
-                acc = zero
-                for j in range(max(0, i - r), min(i, r + 1) + 1):
-                    if j < len(tvals) and i - j < len(prev_desc):
-                        tv = tvals[j]
-                        pv = prev_desc[i - j]
-                        if not tv.is_zero() and not pv.is_zero():
-                            acc = acc + tv * pv
-                new[i] = acc
-            polys.append(tuple(reversed(new)))
-        return list(polys[-1])
+            return [RatFunc.one(p)]
+        c = RatFunc(denominator_lcm(self.flatten()))
+        coeffs = charpoly_coeffs(p, coefficient_stack([self * c]))[0]
+        return [RatFunc(Poly(p, v)) / c ** (n - i) for i, v in enumerate(coeffs.tolist())]
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
@@ -346,33 +299,6 @@ def matrix_units(p, n):
         for i in range(n)
         for j in range(n)
     ]
-
-
-def _bareiss_det(p, rows):
-    """Determinant of a square polynomial matrix (Poly entries), exact."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = Poly.one(p)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    swap = i
-                    break
-            if swap is None:
-                return Poly.zero(p)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Poly.zero(p)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d.scale(-1) if sign < 0 else d
 
 
 class KSpan:
@@ -623,6 +549,82 @@ def _trim(a):
 
 
 # ---------------------------------------------------------------------------
+# batched characteristic polynomials over F_p[t]
+# ---------------------------------------------------------------------------
+
+
+def coefficient_stack(mats):
+    """Polynomial-entry Mats of one shape as an int64 array (len, rows,
+    cols, D): entry [k, i, j, d] is the t^d coefficient of mats[k][i, j]."""
+    arrs = [PolyMat.from_mat(M).arr for M in mats]
+    out = np.zeros((len(arrs),) + arrs[0].shape[1:] + (max(a.shape[0] for a in arrs),), dtype=np.int64)
+    for k, a in enumerate(arrs):
+        out[k, ..., : a.shape[0]] = np.moveaxis(a, 0, -1)
+    return out
+
+
+def exact_dtype(p, terms):
+    """int64 while `terms` products of residues mod p plus one residue stay
+    below 2^63, that is (terms + 1)(p - 1)^2 < 2^63; object (Python
+    integers) beyond."""
+    return np.int64 if (terms + 1) * (p - 1) ** 2 < 2**63 else object
+
+
+def poly_einsum(p, spec, a, b):
+    """np.einsum over F_p[t], reduced mod p.  The last axis of a and of b
+    holds ascending t-coefficients, and `spec` keeps both as the last two
+    output axes (for example "bijx,bjy->bixy"); they are summed along
+    anti-diagonals into one degree axis, with trailing zero degrees
+    trimmed.  Exact when the arrays have `exact_dtype(p, terms)`, terms the
+    number of products one output entry of `spec` sums."""
+    prod = np.einsum(spec, a, b) % p
+    Da, Db = prod.shape[-2:]
+    out = np.zeros(prod.shape[:-2] + (Da + Db - 1,), dtype=prod.dtype)
+    for i in range(Da):
+        out[..., i : i + Db] += prod[..., i, :]
+    out %= p
+    while out.shape[-1] > 1 and not out[..., -1].any():
+        out = out[..., :-1]
+    return out
+
+
+def charpoly_coeffs(p, Z):
+    """Every characteristic polynomial coefficient of a batch of matrices
+    over F_p[t].
+
+    Z is an integer array (B, n, n, D), D the degree axis (as
+    `coefficient_stack` builds it).  Returns C of shape (B, n + 1, W): C[b, i]
+    holds the ascending t-coefficients of the coefficient of T^i in
+    det(T*I - Z_b), so C[b, n] = 1.
+
+    Berkowitz, Inf. Process. Lett. 18 (1984): division-free, so valid in
+    characteristic p.  Each step is a `poly_einsum` summing at most n
+    products of residues, so it runs in int64 while (n + 1)(p - 1)^2 < 2^63
+    and in Python integers (object dtype) beyond.
+    """
+    B, n = Z.shape[:2]
+    Z = (np.asarray(Z) % p).astype(exact_dtype(p, n))
+    polys = np.ones((B, 1, 1), dtype=Z.dtype)  # charpoly of the leading r x r minor, descending in T
+    for r in range(n):
+        R, C, A = Z[:, r, :r], Z[:, :r, r], Z[:, :r, :r]
+        # Toeplitz column [1, -a, -R C, -R A C, ..., -R A^(r-1) C], a = Z[r, r]
+        tvals = [np.ones((B, 1), dtype=Z.dtype), -Z[:, r, r]]
+        vec = C
+        for s in range(r):
+            tvals.append(-poly_einsum(p, "bix,biy->bxy", R, vec))
+            if s < r - 1:
+                vec = poly_einsum(p, "bijx,bjy->bixy", A, vec)
+        column = np.zeros((B, r + 2, max(v.shape[-1] for v in tvals)), dtype=Z.dtype)
+        for j, v in enumerate(tvals):
+            column[:, j, : v.shape[-1]] = v
+        toeplitz = np.zeros((B, r + 2, r + 1, column.shape[-1]), dtype=Z.dtype)
+        for k in range(r + 1):
+            toeplitz[:, k:, k] = column[:, : r + 2 - k]
+        polys = poly_einsum(p, "bikx,bky->bixy", toeplitz, polys)
+    return polys[:, ::-1]
+
+
+# ---------------------------------------------------------------------------
 # mod-p dense elimination (numpy)
 # ---------------------------------------------------------------------------
 
@@ -632,9 +634,8 @@ def int64_stack(p, mats):
 
     None unless every entry is an F_p constant and int64 arithmetic mod p is
     exact at this size: a dot product of n residues, n (p-1)^2 with n the
-    column count, must stay below 2^63.  Every numpy mod-p path over Mats
-    (the constant commutant and the cut values of the radical chain) runs
-    only on what this returns.
+    column count, must stay below 2^63.  The int64 paths of `span_products`
+    and of the constant commutant run only on what this returns.
     """
     n = max((M.ncols for M in mats), default=1)
     if n * (p - 1) ** 2 >= 2**63:

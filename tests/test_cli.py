@@ -132,6 +132,18 @@ def test_other_prime(capsys):
     assert all(s == 1 for _, s in data["symbols"])
 
 
+def test_sample_places_count(capsys):
+    from gquadforms.construct import sample_unramified_places
+    from gquadforms.funcfield import Place
+
+    bad = [Place.from_string(3, "t")]
+    assert sample_unramified_places(3, bad, 0) == []
+    assert [str(v) for v in sample_unramified_places(3, bad, 3)] == ["t+1", "t+2", "t^2+1"]
+    code, out, err = run(capsys, "counterexample", "--sample-places", "-1")
+    assert (code, out) == (2, "")
+    assert "sampled places must be nonnegative" in err
+
+
 @pytest.mark.parametrize("argv", [("symbol", "-1", "t"), ("ram", "-1", "t")])
 @pytest.mark.parametrize("p", ["9", "15"])
 def test_composite_p_rejected(capsys, argv, p):

@@ -481,15 +481,36 @@ def _random_constant_algebras(seed=12, trials=12):
         yield n, [Mat.from_int_rows(P, B.tolist()) for B in basis]
 
 
-def test_radical_chain_numpy_and_exact_paths_agree(monkeypatch):
+def _t_conjugator(p, n, seed):
+    """S = (I + t E_(n-1,0)) (I + 1/t E_(0,k)) (I - E_(k,0)) with a seeded
+    column k > 0: invertible (det 1) and not F_p-constant."""
+    k = random.Random(seed).randrange(1, n)
+    t = RatFunc.t(p)
+    factors = [((n - 1, 0), t), ((0, k), t.inverse()), ((k, 0), -RatFunc.one(p))]
+    S = Mat.identity(p, n)
+    for (i, j), c in factors:
+        S = S * (Mat.identity(p, n) + Mat(p, [[c if (r, s) == (i, j) else RatFunc.zero(p) for s in range(n)] for r in range(n)]))
+    return S
+
+
+def test_radical_chain_commutes_with_conjugation():
     cases = list(_random_constant_algebras())
     # carrier multiplicity P: the trace form vanishes, the q = P level decides
     cases += [(n * P, [M.kron(Mat.identity(P, P)) for M in mats]) for n, mats in cases]
-    numpy_bases = [grpalg._radical_chain(P, n, mats) for n, mats in cases]
-    monkeypatch.setattr(grpalg, "int64_stack", lambda p, mats: None)
-    exact_bases = [grpalg._radical_chain(P, n, mats) for n, mats in cases]
-    assert exact_bases == numpy_bases
-    assert any(exact_bases) and not all(exact_bases)
+    rads = []
+    for k, (n, mats) in enumerate(cases):
+        S = _t_conjugator(P, n, seed=k)
+        Sinv = S.inverse()
+        conj = [Sinv * M * S for M in mats]
+        # only the scalars commute with S
+        assert len(mats) == 1 or any(not e.is_polynomial() for M in conj for e in M.flatten())
+        rad = grpalg._radical_chain(P, n, mats)
+        rad_conj = grpalg._radical_chain(P, n, conj)
+        assert span_products(P, [Sinv * R * S for R in rad]) == rad_conj, k
+        grpalg.certify_radical(EndAlgebra(P, n, mats), rad)
+        grpalg.certify_radical(EndAlgebra(P, n, conj), rad_conj)
+        rads.append(rad)
+    assert any(rads) and not all(rads)
 
 
 def _counting(calls, real):
@@ -513,6 +534,36 @@ def test_cut_values_run_once_per_chain_level(monkeypatch, bundle1, which):
     del cuts[:], solves[:]
     assert jacobson_radical(E).basis == rad
     assert [q for _, _, q, _ in cuts] == [q for _, _, q in solves]
+
+
+def test_radical_chain_makes_no_mat_product_or_charpoly(monkeypatch, bundle1, tensor_bundle):
+    # every product and charpoly of the chain runs in `linalg.charpoly_coeffs`
+    box = endomorphism_algebra(_box_module(P, _BOXES[0], seed=0))
+    box_rad = jacobson_radical(box)
+    chains = [(bundle1.end_algebra, bundle1.radical), (box, box_rad)]
+    quotients = [bundle1.radical.quotient.algebra, box_rad.quotient.algebra, tensor_bundle.quotient_algebra]
+    assert (quotients[0].dim, quotients[2].dim) == (4, 16)
+    for alg in quotients:
+        alg.regular_representation()  # built once and kept
+    products, charpolys = [], []
+    real_mul, real_charpoly = Mat.__mul__, Mat.charpoly
+
+    def mul(self, other):
+        if isinstance(other, Mat):
+            products.append((self.nrows, other.ncols))
+        return real_mul(self, other)
+
+    def charpoly(self):
+        charpolys.append(self.nrows)
+        return real_charpoly(self)
+
+    monkeypatch.setattr(Mat, "__mul__", mul)
+    monkeypatch.setattr(Mat, "charpoly", charpoly)
+    for E, rad in chains:
+        assert grpalg._radical_chain(P, E.n, E.basis) == rad.basis
+    for alg in quotients:
+        grpalg.require_semisimple(alg, "not semisimple")
+    assert (products, charpolys) == ([], [])
 
 
 def test_radical_chain_raises_nothing():
@@ -609,8 +660,8 @@ def test_poly_roots_in_k_at_small_and_large_primes():
 
 
 def _exact_domain(monkeypatch):
-    """Send every int64 mod-p path (span_products and the radical chain) to
-    exact arithmetic."""
+    """Send every int64 mod-p path (span_products and the constant
+    commutant) to exact arithmetic."""
     never = lambda p, mats: None  # noqa: E731
     monkeypatch.setattr(linalg, "int64_stack", never)
     monkeypatch.setattr(grpalg, "int64_stack", never)

@@ -9,6 +9,9 @@ from gquadforms.linalg import (
     KSpan,
     Mat,
     PolyMat,
+    charpoly_coeffs,
+    coefficient_stack,
+    exact_dtype,
     modp_nullspace,
     modp_rref,
     symmetric_diagonalize,
@@ -65,6 +68,56 @@ def test_berkowitz_charpoly_against_trace_and_det():
         det = M.det()
         sign = RatFunc.from_int(P, (-1) ** n)
         assert cp[0] == sign * det
+
+
+@pytest.mark.parametrize("p", [3, 5, 2**30 - 35, 2**31 - 1])
+def test_charpoly_matches_sympy_over_polynomial_ring(p):
+    # p = 2^30 - 35 is int64 at n <= 6 with sums near the bound; 2^31 - 1 is
+    # past it at every n, so the kernel runs in Python integers
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.Symbol("t")
+    K = sympy.GF(p)[t]
+    x = K.gens[0]
+
+    def to_sympy(f):
+        return sum((c * x**d for d, c in enumerate(f.coeffs)), K.zero)
+
+    def from_sympy(e):
+        coeffs = dict(e.terms())
+        return Poly(p, [int(coeffs.get((d,), 0)) for d in range(max(e.degree(), 0) + 1)])
+
+    def domain_matrix(M):
+        return DomainMatrix([[to_sympy(e.num) for e in r] for r in M.rows], (M.nrows, M.nrows), K)
+
+    def sympy_charpoly(M):
+        return [from_sympy(c) for c in reversed(domain_matrix(M).charpoly())]
+
+    rng = random.Random(f"charpoly:{p}")
+
+    def entry(denom):
+        num = Poly(p, [rng.randrange(p) for _ in range(rng.randrange(1, 4))])
+        den = Poly(p, [rng.randrange(p) for _ in range(rng.randrange(2))] + [1]) if denom and rng.random() < 0.4 else Poly.one(p)
+        return RatFunc(num, den)
+
+    assert exact_dtype(p, 6) is (np.int64 if p < 2**31 - 1 else object)
+    for n in range(1, 7):
+        polymats = [Mat(p, [[entry(False) for _ in range(n)] for _ in range(n)]) for _ in range(3)]
+        polymats.append(Mat(p, [[RatFunc.from_int(p, p - 1)] * n] * n))  # every product at its largest
+        expected = [sympy_charpoly(M) for M in polymats]
+        got = charpoly_coeffs(p, coefficient_stack(polymats))
+        assert [[Poly(p, v) for v in cp] for cp in got.tolist()] == expected
+        assert [M.charpoly() for M in polymats] == [[RatFunc(c) for c in cp] for cp in expected]
+        assert [M.det() for M in polymats] == [RatFunc(from_sympy(domain_matrix(M).det())) for M in polymats]
+        # with denominators: sympy sees c M over F_p[t], c the product of the
+        # distinct denominators, whose T^i coefficient is c^(n-i) c_i(M)
+        M = Mat(p, [[entry(True) for _ in range(n)] for _ in range(n)])
+        c = RatFunc(Poly.one(p))
+        for den in {e.den.coeffs: e.den for e in M.flatten()}.values():
+            c = c * RatFunc(den)
+        scaled = [ci * c ** (n - i) for i, ci in enumerate(M.charpoly())]
+        assert scaled == [RatFunc(f) for f in sympy_charpoly(M * c)]
 
 
 def test_charpoly_cayley_hamilton():
