@@ -38,13 +38,15 @@ class Algebra:
     def from_matrices(cls, p, mats):
         """Algebra spanned by the given matrices (must be closed, contain I).
 
-        The basis is the RREF of their span; structure constants and unit
-        are its coordinates, all through `span_products` batches.
+        The basis is the RREF of their span: `mats` themselves when they
+        already are one (a commutant basis is), else one `span_products`
+        batch.  Structure constants and unit are its coordinates, through
+        `span_products` batches.
         """
         if not mats:
             raise ValueError("empty generating set")
         n = mats[0].nrows
-        basis = span_products(p, mats)
+        basis = list(mats) if _is_rref(mats) else span_products(p, mats)
         dim = len(basis)
         products = span_products(p, basis, basis, basis)
         for k, coords in enumerate(products):
@@ -213,6 +215,22 @@ def quotient_algebra(E, ideal_vectors):
     Q = Algebra(p, table, unit)
     qd_tmp.algebra = Q
     return qd_tmp
+
+
+def _is_rref(mats):
+    """True iff the row-major flattenings of `mats` are in reduced row
+    echelon form with no zero row: each pivot (first nonzero entry) is 1,
+    lies right of the previous one and is the only nonzero in its column."""
+    rows = [M.flatten() for M in mats]
+    pivots = []
+    for row in rows:
+        j = next((j for j, e in enumerate(row) if not e.is_zero()), None)
+        if j is None or not row[j].is_one() or (pivots and j <= pivots[-1]):
+            return False
+        pivots.append(j)
+    return all(
+        row[j].is_zero() for k, row in enumerate(rows) for j in pivots if j != pivots[k]
+    )
 
 
 def algebra_from_span(alg, vectors):

@@ -7,6 +7,7 @@ on stderr).  Output is JSON on stdout unless --pretty is given.
 """
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -182,7 +183,10 @@ def cmd_verify_paper(args):
     return EXIT_OK if not failed else EXIT_CERTIFICATE
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: `parse_args` returns a
+    fresh namespace on every call and leaves the parser unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
     common.add_argument("--pretty", action="store_true", help="human-readable tables")

@@ -30,6 +30,7 @@ And each key of a tensor bundle's `checks` (the report's `tensor_checks`):
   at degree 4 only when dim Sym = 10.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra, InvolutionAlgebra
@@ -43,7 +44,7 @@ from .csa import (
     tensor_m2q,
 )
 from .errors import CertificateError, InputError
-from .funcfield import Place, Poly, RatFunc, denominator_lcm, irreducibles, smallest_nonsquare
+from .funcfield import Place, Poly, RatFunc, denominator_lcm, finite_places, smallest_nonsquare
 from .grpalg import (
     EndAlgebra,
     GModule,
@@ -429,17 +430,10 @@ def tensor_pair(b1, b2):
 
 
 def sample_unramified_places(p, exclude, count):
-    """The first `count` monic irreducibles (by degree, then coefficients)
-    off the bad set; none for count 0."""
-    out = []
-    excl = {str(v) for v in exclude}
-    for pi in irreducibles(p):
-        if len(out) >= count:
-            break
-        v = Place.finite(pi)
-        if str(v) not in excl:
-            out.append(v)
-    return out
+    """The first `count` finite places (by degree, then coefficients) off
+    the bad set; none for count 0."""
+    excl = set(exclude)
+    return list(itertools.islice((v for v in finite_places(p) if v not in excl), count))
 
 
 @dataclass(slots=True, eq=False)

@@ -1,11 +1,27 @@
 """Exact arithmetic in F_p, F_p[t] and the rational function field k = F_p(t).
 
 The prime p is odd and travels with every value (there is no module-level
-global), so several primes can coexist in one process.  Polynomials are
-immutable coefficient tuples, lowest degree first, with no trailing zeros;
-the zero polynomial is the empty tuple and reports the sentinel degree -1.
-Rational functions are reduced fractions with a monic denominator, so
-equality is structural.
+global), so several primes can coexist in one process.  Every value is
+canonical, so equality is structural:
+
+- a `Poly` is an immutable tuple of residues in [0, p), lowest degree
+  first, with a nonzero last entry; the zero polynomial is the empty tuple
+  and reports the sentinel degree -1;
+- a `RatFunc` is num/den with gcd(num, den) = 1 and den monic (so 0 is
+  0/1).
+
+`Poly(p, coeffs)` and `RatFunc(num, den)` establish these by reduction;
+results that meet them by construction skip it (`_poly`, `_ratfunc`):
+
+- -f: p - c is in [1, p) for c in [1, p), and 0 stays 0;
+- c * f for c in [1, p), and a * b for nonzero a, b: the leading entry is
+  a product of two nonzero residues, nonzero mod the prime p; c = 1
+  returns f itself;
+- f + g, f - g and f mod g: entries are reduced as they are formed, so only
+  trailing zeros are trimmed; the quotient's leading entry is
+  lc(f) / lc(g) != 0;
+- a + b/d and a - b/d for a polynomial a: gcd(b +- a d, d) = gcd(b, d) = 1
+  and d is monic, so (b +- a d)/d is reduced; a * b and -a keep den = 1.
 
 Places of k are monic irreducible polynomials plus the degree place at
 infinity (uniformizer 1/t).  All local computations (valuations, local
@@ -87,11 +103,11 @@ class Poly:
 
     @classmethod
     def zero(cls, p):
-        return cls(p, ())
+        return _poly(p, ())
 
     @classmethod
     def one(cls, p):
-        return cls(p, (1,))
+        return _poly(p, (1,))
 
     @classmethod
     def const(cls, p, c):
@@ -99,7 +115,7 @@ class Poly:
 
     @classmethod
     def t(cls, p):
-        return cls(p, (0, 1))
+        return _poly(p, (0, 1))
 
     @classmethod
     def from_string(cls, p, text):
@@ -185,13 +201,19 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = (out[i] + c) % p
-        return Poly(p, out)
+        return _trimmed(p, out)
 
     def __neg__(self):
-        return Poly(self.p, [-c for c in self.coeffs])
+        p = self.p
+        return _poly(p, tuple([p - c if c else 0 for c in self.coeffs]))
 
     def __sub__(self, other):
-        return self + (-other)
+        p = self.p
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = (out[i] - c) % p
+        return _trimmed(p, out)
 
     def __mul__(self, other):
         p = self.p
@@ -201,26 +223,34 @@ class Poly:
         if not b:
             return other
         if len(a) == 1:
-            c = a[0]
-            return Poly(p, [c * x for x in b])
+            return other._times(a[0])
         if len(b) == 1:
-            c = b[0]
-            return Poly(p, [c * x for x in a])
+            return self._times(b[0])
         # int64 convolution is exact while every output sum stays below 2^63
         if len(a) + len(b) > _CONV_THRESHOLD and min(len(a), len(b)) * (p - 1) ** 2 < 2**63:
             out = np.convolve(
                 np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
             )
-            return Poly(p, (out % p).tolist())
+            return _poly(p, tuple((out % p).tolist()))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return Poly(p, out)
+        return _poly(p, tuple([c % p for c in out]))
+
+    def _times(self, c):
+        """self * c for a residue c in [1, p): c * lc != 0 mod p."""
+        if c == 1:
+            return self
+        p = self.p
+        return _poly(p, tuple([c * x % p for x in self.coeffs]))
 
     def scale(self, c):
-        return Poly(self.p, [c * x for x in self.coeffs])
+        c %= self.p
+        if not c:
+            return _poly(self.p, ())
+        return self._times(c)
 
     def __pow__(self, e):
         result = Poly.one(self.p)
@@ -250,7 +280,7 @@ class Poly:
                 quot[i - d] = q
                 for j in range(d + 1):
                     rem[i - d + j] = (rem[i - d + j] - q * oc[j]) % p
-        return Poly(p, quot), Poly(p, rem[:d])
+        return _poly(p, tuple(quot)), _trimmed(p, rem[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -422,6 +452,22 @@ class Poly:
         return f"Poly({self.p}, {self})"
 
 
+def _poly(p, coeffs):
+    """Poly from a tuple that is already canonical: entries in [0, p), last
+    entry nonzero (or empty).  Skips `Poly.__init__`'s reduction pass."""
+    f = object.__new__(Poly)
+    f.p = p
+    f.coeffs = coeffs
+    return f
+
+
+def _trimmed(p, out):
+    """Poly from a list of entries in [0, p) that may end in zeros."""
+    while out and out[-1] == 0:
+        out.pop()
+    return _poly(p, tuple(out))
+
+
 def _merge_multiplicities(pairs):
     acc = {}
     for g, e in pairs:
@@ -505,10 +551,16 @@ def irreducibles(p, max_degree=None):
     d = 1
     while max_degree is None or d <= max_degree:
         for tail in _tuples(p, d):
-            f = Poly(p, list(tail) + [1])
+            f = _poly(p, tail + (1,))
             if f.is_irreducible():
                 yield f
         d += 1
+
+
+def finite_places(p):
+    """Yield the finite places of k in `irreducibles` order, each built
+    without a second irreducibility test."""
+    return map(_finite_place, irreducibles(p))
 
 
 def _tuples(p, d):
@@ -536,17 +588,15 @@ class RatFunc:
         would return exactly the same pair.
         """
         p = num.p
-        if den is None:
-            den = Poly.one(p)
-        if den.is_one():
+        if den is None or den.coeffs == (1,):
             self.num = num
-            self.den = den
+            self.den = _poly(p, (1,))
             return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             self.num = num
-            self.den = Poly.one(p)
+            self.den = _poly(p, (1,))
             return
         g = num.gcd(den)
         if g.degree > 0:
@@ -566,11 +616,12 @@ class RatFunc:
 
     @classmethod
     def zero(cls, p):
-        return cls(Poly.zero(p))
+        return _ratfunc(_poly(p, ()), _poly(p, (1,)))
 
     @classmethod
     def one(cls, p):
-        return cls(Poly.one(p))
+        one = _poly(p, (1,))
+        return _ratfunc(one, one)
 
     @classmethod
     def t(cls, p):
@@ -591,16 +642,16 @@ class RatFunc:
         return self.num.p
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.coeffs
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return self.num.coeffs == (1,) and self.den.coeffs == (1,)
 
     def is_polynomial(self):
-        return self.den.is_one()
+        return self.den.coeffs == (1,)
 
     def is_constant(self):
-        return self.num.is_constant() and self.den.is_one()
+        return len(self.num.coeffs) <= 1 and self.den.coeffs == (1,)
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -617,20 +668,33 @@ class RatFunc:
 
     # -- arithmetic ---------------------------------------------------
 
+    # One polynomial operand a and a reduced b/d: (+-b +- a d)/d is reduced,
+    # as gcd(b +- a d, d) = gcd(b, d) = 1, and d is monic.
+
     def __add__(self, other):
+        if self.den.coeffs == (1,):
+            return _ratfunc(self.num * other.den + other.num, other.den)
+        if other.den.coeffs == (1,):
+            return _ratfunc(self.num + other.num * self.den, self.den)
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other):
+        if self.den.coeffs == (1,):
+            return _ratfunc(self.num * other.den - other.num, other.den)
+        if other.den.coeffs == (1,):
+            return _ratfunc(self.num - other.num * self.den, self.den)
         return RatFunc(
             self.num * other.den - other.num * self.den, self.den * other.den
         )
 
     def __mul__(self, other):
+        if self.den.coeffs == (1,) and other.den.coeffs == (1,):
+            return _ratfunc(self.num * other.num, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
@@ -655,6 +719,15 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.p}, {self})"
+
+
+def _ratfunc(num, den):
+    """RatFunc from a pair that is already reduced with a monic `den`
+    (0/1 for zero).  Skips `RatFunc.__init__`'s gcd."""
+    r = object.__new__(RatFunc)
+    r.num = num
+    r.den = den
+    return r
 
 
 def denominator_lcm(values):
@@ -726,6 +799,16 @@ class Place:
 
     def __repr__(self):
         return f"Place({self})"
+
+
+def _finite_place(pi):
+    """Place of a polynomial already proved monic irreducible (a factor from
+    `Poly.factor` or an `irreducibles` entry): skips the Rabin test of
+    `Place.__init__`."""
+    v = object.__new__(Place)
+    v.p = pi.p
+    v.pi = pi
+    return v
 
 
 def valuation(a, v):
@@ -884,7 +967,7 @@ def divisor(a):
 
 def places_of(p, divisors):
     """The finite places in any of the divisors, plus infinity, sorted."""
-    places = {Place.finite(pi) for div in divisors for pi in div}
+    places = {_finite_place(pi) for div in divisors for pi in div}
     places.add(Place.infinity(p))
     return sorted(places, key=Place.sort_key)
 

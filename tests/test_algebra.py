@@ -44,6 +44,36 @@ def test_from_matrices_requires_closure():
         Algebra.from_matrices(P, nonclosed)
 
 
+def test_from_matrices_takes_an_rref_basis_as_it_is(monkeypatch):
+    from gquadforms import algebra
+    from gquadforms.linalg import span_products
+
+    batches = []
+
+    def counted(p, xs, ys=None, basis=None):
+        batches.append((ys, basis))
+        return span_products(p, xs, ys, basis)
+
+    monkeypatch.setattr(algebra, "span_products", counted)
+    units = _m2_units()  # e_11, e_12, e_21, e_22 flatten to e_0, ..., e_3
+    want = Algebra.from_matrices(P, units)
+    assert want.matrices == units
+    assert all(ys is not None or basis is not None for ys, basis in batches)
+    # reordered, a pivot of 2, an entry above a pivot, a zero matrix: each
+    # is reduced to the units first, so the algebra is the same
+    two = RatFunc.from_int(P, 2)
+    for mats in (
+        units[::-1],
+        [units[0] * two] + units[1:],
+        [units[0] + units[3]] + units[1:],
+        units + [Mat.zeros(P, 2)],
+    ):
+        del batches[:]
+        alg = Algebra.from_matrices(P, mats)
+        assert batches[0] == (None, None)
+        assert alg.matrices == units and alg.mult_table == want.mult_table and alg.unit == want.unit
+
+
 def test_center_and_inverse():
     alg = Algebra.from_matrices(P, _m2_units())
     cen = alg.center()

@@ -237,3 +237,33 @@ def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
     assert code == 3 and out == ""
     assert err.startswith("internal error: TypeError: unsupported operand\n")
     assert "Traceback (most recent call last)" in err
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+
+    import gquadforms
+    from gquadforms.cli import build_parser
+
+    f1, f2 = tmp_path / "q1.json", tmp_path / "q2.json"
+    f1.write_text(json.dumps({"p": 3, "gram": [["1", "0", "0"], ["0", "t", "0"], ["0", "0", "2*t+1"]]}))
+    f2.write_text(json.dumps({"p": 3, "gram": [["2", "0", "0"], ["0", "2*t", "0"], ["0", "0", "t+2"]]}))
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"p": 3, "generators": ["g"], "dim": 2, "action": {"g": [["1", "1"], ["0", "1"]]}}))
+    commands = [("qf-equiv", str(f1), str(f2)), ("hp-check", str(mod))]
+    assert build_parser() is build_parser()
+    # each command as a fresh process sees it, then twice through one parser
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gquadforms.__file__))}
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gquadforms.cli", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in commands] == fresh
+    # a bad --p between calls still exits 2 and leaves the parser as it was
+    assert run(capsys, "symbol", "1", "t", "--p", "4")[0] == 2
+    assert run(capsys, *commands[0]) == fresh[0]

@@ -187,6 +187,26 @@ def test_tensor_pair_and_bundle_check_each_claim_once(monkeypatch, h1, bundle1, 
     assert len(closure) == 1
 
 
+def test_bundle_builds_few_normalised_polys(monkeypatch, h1):
+    """Products, negations and sums of reduced polynomials, and fractions
+    with a polynomial operand, are built without `Poly.__init__`'s
+    reduction pass; one bundle made 92,334 normalising constructions
+    before those fast paths."""
+    from gquadforms import construct
+    from gquadforms.funcfield import Poly
+
+    calls = []
+    init = Poly.__init__
+
+    def counted(self, p, coeffs):
+        calls.append(p)
+        init(self, p, coeffs)
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    construct.bundle(h1, prefix="g")
+    assert len(calls) <= 92334 // 2
+
+
 # ---------------------------------------------------------------------
 # the full pipeline (3.4)
 # ---------------------------------------------------------------------

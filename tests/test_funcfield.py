@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -160,6 +161,85 @@ def test_poly_mul_exact_at_any_prime(p):
         assert Poly(p, a) * Poly(p, b) == Poly(p, want)
 
 
+def _canonical(f):
+    """Poly's invariant: entries in [0, p) and a nonzero last entry."""
+    return all(0 <= c < f.p for c in f.coeffs) and (not f.coeffs or f.coeffs[-1] != 0)
+
+
+def _reduced(r):
+    """RatFunc's invariant: canonical parts, monic denominator and no common
+    factor (so 0 is stored as 0/1, since gcd(0, d) = d)."""
+    return (
+        _canonical(r.num)
+        and _canonical(r.den)
+        and r.den.is_monic()
+        and r.num.gcd(r.den).is_one()
+    )
+
+
+def _sparse_coeffs(rng, p, length):
+    """`length` residues, about half of them 0, so interior zeros are common."""
+    return [rng.randrange(1, p) if rng.random() < 0.5 else 0 for _ in range(length)]
+
+
+def test_negation_keeps_interior_zero():
+    # p - c maps an interior 0 to p, not 0: the entry must stay 0
+    f = -Poly(P, [1, 0, 2])
+    assert f.coeffs == (2, 0, 1) and _canonical(f)
+    assert -Poly(BIG, [0, 0, 5]) == Poly(BIG, [0, 0, -5])
+
+
+@pytest.mark.parametrize("p", [3, 5, BIG])
+def test_poly_and_ratfunc_fast_paths_match_normalising_constructors(p):
+    rng = random.Random(f"fast paths:{p}")
+    for trial in range(120):
+        # schoolbook lengths, then lengths past the convolution threshold
+        # (len(a) + len(b) > 24; at 2^31 - 1 the int64 bound keeps schoolbook)
+        hi = 8 if trial % 2 else 30
+        a = Poly(p, _sparse_coeffs(rng, p, rng.randrange(0, hi)))
+        b = Poly(p, _sparse_coeffs(rng, p, rng.randrange(0, hi)))
+        c = rng.choice([0, 1, p - 1, p, p + 1, -1, rng.randrange(-p, 2 * p)])
+        naive = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                naive[i + j] += x * y
+        longest = max(len(a.coeffs), len(b.coeffs))
+        pa = list(a.coeffs) + [0] * (longest - len(a.coeffs))
+        pb = list(b.coeffs) + [0] * (longest - len(b.coeffs))
+        cases = [
+            (-a, Poly(p, [-x for x in a.coeffs])),
+            (a + b, Poly(p, [x + y for x, y in zip(pa, pb)])),
+            (a - b, Poly(p, [x - y for x, y in zip(pa, pb)])),
+            (a * b, Poly(p, naive)),
+            (a.scale(c), Poly(p, [c * x for x in a.coeffs])),
+            (a * Poly(p, [c]), Poly(p, [c * x for x in a.coeffs])),
+        ]
+        if not b.is_zero():
+            q, r = divmod(a, b)
+            assert q * b + r == a and r.degree < b.degree
+            cases += [(q, Poly(p, q.coeffs)), (r, Poly(p, r.coeffs))]
+        for got, want in cases:
+            assert got == want and _canonical(got), (trial, got, want)
+        # a polynomial operand on either side of a reduced fraction, and
+        # polynomial by polynomial
+        d = Poly(p, _sparse_coeffs(rng, p, rng.randrange(0, 5)) + [1])
+        x, y = RatFunc(a), RatFunc(b, d)
+        for u, v in ((x, y), (y, x), (x, RatFunc(b)), (y, y)):
+            ops = [
+                (u + v, RatFunc(u.num * v.den + v.num * u.den, u.den * v.den)),
+                (u - v, RatFunc(u.num * v.den - v.num * u.den, u.den * v.den)),
+                (u * v, RatFunc(u.num * v.num, u.den * v.den)),
+                (-u, RatFunc(Poly(p, [-x for x in u.num.coeffs]), u.den)),
+            ]
+            for got, want in ops:
+                assert got == want and _reduced(got), (trial, got, want)
+    for zero in (RatFunc.zero(p), RatFunc(Poly.zero(p), Poly.t(p))):
+        assert zero == RatFunc(Poly(p, [])) and _reduced(zero) and zero.is_zero()
+    assert RatFunc.one(p) == RatFunc(Poly(p, [1]), Poly(p, [1])) and RatFunc.one(p).is_one()
+    assert Poly.zero(p) == Poly(p, [0, 0]) and Poly.one(p) == Poly(p, [1 + p])
+    assert Poly.t(p) == Poly(p, [p, 1])
+
+
 def test_valuation_spec_examples():
     vt = Place.finite(poly("t"))
     vinf = Place.infinity(P)
@@ -210,6 +290,33 @@ def test_support_spec_examples():
     b = rf("t-1") * rf("t-2")
     assert [str(v) for v in support(rf("-1"), b)] == ["t+1", "t+2", "inf"]
     assert [str(v) for v in support(RatFunc.one(P), RatFunc.one(P))] == ["inf"]
+
+
+def test_places_of_proved_irreducibles_skip_the_rabin_test(monkeypatch):
+    from gquadforms.construct import sample_unramified_places
+    from gquadforms.funcfield import irreducibles
+
+    for text in ("t^2+2*t+1", "t^2+2", "2*t+1"):  # (t+1)^2, (t+1)(t+2), not monic
+        with pytest.raises(ValueError, match="monic irreducible"):
+            Place.finite(poly(text))
+        with pytest.raises(ValueError, match="monic irreducible"):
+            Place.from_string(P, text)
+    bad = [Place.finite(poly("t")), Place.infinity(P)]
+    tested = []
+    rabin = Poly.is_irreducible
+    monkeypatch.setattr(Poly, "is_irreducible", lambda f: tested.append(f) or rabin(f))
+    # factors of t^2 (t^2+1) (t+1)^-3 and (t-1)(t-2): factor() proves them
+    places = support(rf("t^4+t^2/t^3+1"), rf("t^2+2"))
+    assert [str(v) for v in places] == ["t", "t+1", "t+2", "t^2+1", "inf"]
+    assert tested == []
+    sampled = sample_unramified_places(P, bad, 4)
+    assert [str(v) for v in sampled] == ["t+1", "t+2", "t^2+1", "t^2+t+2"]
+    # the candidates irreducibles() tests for its first five, and no more
+    drawn = len(tested)
+    del tested[:]
+    first = list(itertools.islice(irreducibles(P), 5))
+    assert len(tested) == drawn and [v.pi for v in sampled] == first[1:]
+    assert sampled == [Place.finite(v.pi) for v in sampled]
 
 
 def _random_rf(rng, maxdeg=3):

@@ -146,6 +146,33 @@ def test_group_algebra_self_endomorphisms():
     assert E.dim == 27  # commutative group algebra is its own endomorphism ring
 
 
+@pytest.mark.parametrize("constant", [True, False])
+def test_commutant_basis_is_reduced_once(monkeypatch, constant):
+    """Both commutant solvers return an RREF basis, and `Algebra.from_matrices`
+    builds E on it without reducing it a second time."""
+    import gquadforms.algebra as algebra
+
+    t = RatFunc.t(P)
+    one, zero = RatFunc.one(P), RatFunc.zero(P)
+    if constant:
+        m = _regular_module_cp3()
+    else:
+        m = GModule(GroupSpec(P, ["g"]), {"g": Mat(P, [[one, t, zero], [zero, one, zero], [zero, zero, one]])})
+    plain = []
+    for module in (algebra, grpalg):
+        real = module.span_products
+
+        def counted(p, xs, ys=None, basis=None, real=real):
+            if ys is None and basis is None:
+                plain.append(len(xs))
+            return real(p, xs, ys, basis)
+
+        monkeypatch.setattr(module, "span_products", counted)
+    E = endomorphism_algebra(m)
+    assert E.algebra().matrices == E.basis and span_products(P, E.basis) == E.basis
+    assert plain == [E.dim]  # the solver's own reduction, and no other
+
+
 def test_generic_commutant_polynomial_entries():
     grp = GroupSpec(P, ["g"])
     t = RatFunc.t(P)
