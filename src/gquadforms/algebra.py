@@ -20,7 +20,7 @@ from .linalg import KSpan, Mat, combination, span_products
 class Algebra:
     """Associative unital algebra with structure constants over F_p(t)."""
 
-    __slots__ = ("p", "dim", "mult_table", "unit", "matrices", "ambient_n", "_span", "_regular")
+    __slots__ = ("p", "dim", "mult_table", "unit", "matrices", "ambient_n", "_span", "_regular", "_center")
 
     def __init__(self, p, mult_table, unit, matrices=None, ambient_n=None):
         self.p = p
@@ -31,6 +31,7 @@ class Algebra:
         self.ambient_n = ambient_n
         self._span = None
         self._regular = None
+        self._center = None
 
     # -- constructors ---------------------------------------------------
 
@@ -132,17 +133,14 @@ class Algebra:
         return tuple(sol)
 
     def center(self):
-        """Basis (coord tuples) of the center."""
-        p = self.p
-        rows = []
-        for i in range(self.dim):
-            Li = self.left_mult_matrix(self.basis_coords(i))
-            Ri = self.right_mult_matrix(self.basis_coords(i))
-            D = Li - Ri
-            rows.extend(list(r) for r in D.rows)
-        if not rows:
-            return [self.unit]
-        return Mat(p, rows).nullspace()
+        """Basis (coord tuples) of the center, computed once per algebra."""
+        if self._center is None:
+            rows = []
+            for i in range(self.dim):
+                b = self.basis_coords(i)
+                rows.extend((self.left_mult_matrix(b) - self.right_mult_matrix(b)).rows)
+            self._center = tuple(Mat(self.p, rows).nullspace()) if rows else (self.unit,)
+        return self._center
 
     def right_mult_matrix(self, u):
         cols = [self.mult(self.basis_coords(j), u) for j in range(self.dim)]

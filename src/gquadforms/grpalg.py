@@ -35,6 +35,22 @@ constructs it to certify the radical and returns it in the
 `RadicalResult`.  `quotient_with_involution`, the no-form branch of
 `hp_verdict` and the construction stages read `radical.quotient`, whose
 lifts are the first E basis matrices outside the radical.
+
+The criterion (th. 2.1) is decided on the simple components of E/R by one
+loop over its primitive central idempotents, `_decompose`, behind two entry
+points: `decompose_components` (with the involution: are the orthogonal
+components split?) and `decompose_components_plain` (without: are all of
+them split?).  The `ComponentReport` carries which of the two paths it
+answers, so `verdict_from_components` needs only the report.  When the
+unit is the only central idempotent, the component is the algebra itself
+with the involution given; only a proper component is rebuilt as e*A*e
+with the involution restricted to it.  A 16-dim orthogonal component is
+decided by its Clifford pair Q1, Q2, A = Q1 (x) Q2, which is split iff
+Ram(Q1) = Ram(Q2) (the degree-4 orthogonal / quaternion-pair
+correspondence: Knus, Merkurjev, Rost and Tignol, *The Book of
+Involutions*, section 15); the split-torus search runs only where the pair
+cannot be extracted and on other shapes.  Both certificates are exact, so
+where both decide they agree.
 """
 
 import math
@@ -541,8 +557,8 @@ def tensor_radical(E1, rad1, E2, rad2):
     and no 64x64 span reduction is needed.  The certificate carries the factor
     certificates: R_i two-sided nilpotent ideals with semisimple quotients;
     with Kronecker bilinearity this yields R^(i1+i2-1) = 0 and the ideal
-    property for R, and the quotient is rechecked at the 16-dim level by
-    the caller.
+    property for R.  The caller builds the 16-dim quotient from the factor
+    quotients.
     """
     lifts1 = rad1.quotient.lift_matrices()
     e2, r2 = E2.poly_basis(), poly_mats(rad2.basis)
@@ -616,25 +632,18 @@ def quotient_with_involution(E, radical, iota):
 
 
 class ComponentReport:
-    """Per-component facts of a semisimple algebra with involution."""
+    """Per-component facts of a semisimple algebra, with the criterion
+    `path` they decide: 'orthogonal-components-split' for components found
+    with an involution, 'all-components-split' for components without."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "path")
 
-    def __init__(self, components):
+    def __init__(self, components, path):
         self.components = components
+        self.path = path
 
     def __iter__(self):
         return iter(self.components)
-
-    def orthogonal_all_split(self):
-        """(all orthogonal components split?, blocking component or None)."""
-        for comp in self.components:
-            if comp["kind"] == "orthogonal" and comp["splitness"] != "split":
-                return False, comp
-        return True, None
-
-    def to_json(self):
-        return [dict(c) for c in self.components]
 
 
 def _component_subalgebra(alg, idempotent):
@@ -800,6 +809,7 @@ def _component_splitness(sub, sub_inv=None, kind=None):
     """(splitness, ramification list or None) for a center-k component."""
     if sub.dim == 1:
         return "split", []
+    ramset = None
     if sub.dim == 4:
         from .csa import quaternion_from_algebra
 
@@ -808,110 +818,89 @@ def _component_splitness(sub, sub_inv=None, kind=None):
         except (ValueError, ExtractionError):
             return "unknown", None
         ramset = quat.ramification_set()
+    elif kind == "orthogonal" and sub.dim == 16:
+        ramset = _pair_ramification(sub_inv)
+    if ramset is not None:
         return ("split" if not ramset else "nonsplit-quaternion"), [str(v) for v in ramset]
     if _try_split_torus(sub):
         return "split", []
-    if sub_inv is not None and kind == "orthogonal" and sub.dim == 16:
-        from .hermitian import clifford_quaternion_pair
-
-        try:
-            pair = clifford_quaternion_pair(sub_inv)
-        except (ValueError, ExtractionError):
-            return "unknown", None
-        r1 = set(pair[0].quaternion.ramification_set())
-        r2 = set(pair[1].quaternion.ramification_set())
-        ramset = sorted(r1 ^ r2, key=lambda v: v.sort_key())
-        return ("split" if not ramset else "nonsplit-quaternion"), [str(v) for v in ramset]
     return "unknown", None
 
 
+def _pair_ramification(sub_inv):
+    """Ram(Q1) + Ram(Q2) (symmetric difference, sorted) of the Clifford pair
+    of a 16-dim orthogonal component A = Q1 (x) Q2, whose Brauer class is
+    [Q1] + [Q2]; None when the pair cannot be extracted."""
+    from .hermitian import clifford_quaternion_pair
+
+    try:
+        pair = clifford_quaternion_pair(sub_inv)
+    except (ValueError, ExtractionError):
+        return None
+    r1, r2 = (set(m.quaternion.ramification_set()) for m in pair)
+    return sorted(r1 ^ r2, key=lambda v: v.sort_key())
+
+
+_COMPONENT_KEYS = ("dim", "center_dim", "involution", "kind", "splitness", "ramification")
+
+
 def decompose_components(inv_alg):
-    """Split a semisimple algebra-with-involution into involution classes."""
-    alg = inv_alg.algebra
-    require_semisimple(alg, "decompose_components expects a semisimple algebra")
-    idempotents = _central_idempotents(alg)
-    used = [False] * len(idempotents)
-    comps = []
-    for i, e in enumerate(idempotents):
-        if used[i]:
-            continue
-        img = inv_alg.apply(e)
-        if img == tuple(e):
-            used[i] = True
-            comps.append(_stable_component_report(inv_alg, alg, e))
-        else:
-            partner = next(
-                (j for j, f in enumerate(idempotents) if not used[j] and tuple(f) == img),
-                None,
-            )
-            if partner is None:
-                raise CertificateError("involution permutes idempotents inconsistently")
-            used[i] = used[partner] = True
-            pair_unit = alg.add(e, idempotents[partner])
-            sub, _ = _component_subalgebra(alg, pair_unit)
-            comps.append(
-                {
-                    "dim": sub.dim,
-                    "center_dim": 2,
-                    "involution": "swapped-with-partner",
-                    "kind": "unitary",
-                    "splitness": "unknown",
-                    "ramification": None,
-                }
-            )
-    total = sum(c["dim"] for c in comps)
-    if total != alg.dim:
-        raise CertificateError("component dimensions do not sum to the algebra dimension")
-    return ComponentReport(comps)
+    """Components of a semisimple algebra with involution, grouped into
+    involution classes, for the 'orthogonal-components-split' criterion."""
+    return _decompose(inv_alg.algebra, inv_alg)
 
 
 def decompose_components_plain(alg):
-    """Component splitness without involution data (kinds unavailable)."""
+    """Component splitness without involution data (kinds unavailable),
+    for the 'all-components-split' criterion."""
+    return _decompose(alg, None)
+
+
+def _decompose(alg, inv_alg):
+    """The one loop over the primitive central idempotents of `alg`; with an
+    involution, a swapped pair e, f is one unitary component A(e + f)."""
     require_semisimple(alg, "decompose_components expects a semisimple algebra")
+    idempotents = _central_idempotents(alg)
     comps = []
-    for e in _central_idempotents(alg):
-        sub, _ = _component_subalgebra(alg, e)
-        splitness, ram = _component_splitness(sub)
-        comps.append(
-            {
-                "dim": sub.dim,
-                "center_dim": len(sub.center()),
-                "involution": None,
-                "kind": None,
-                "splitness": splitness,
-                "ramification": ram,
-            }
-        )
+    while idempotents:
+        e = idempotents.pop(0)
+        img = e if inv_alg is None else inv_alg.apply(e)
+        if img == e:
+            comps.append(_stable_component(alg, inv_alg, e))
+            continue
+        if img not in idempotents:
+            raise CertificateError("involution permutes idempotents inconsistently")
+        idempotents.remove(img)
+        sub, _ = _component_subalgebra(alg, alg.add(e, img))
+        unitary = (sub.dim, 2, "swapped-with-partner", "unitary", "unknown", None)
+        comps.append(dict(zip(_COMPONENT_KEYS, unitary)))
     if sum(c["dim"] for c in comps) != alg.dim:
         raise CertificateError("component dimensions do not sum to the algebra dimension")
-    return ComponentReport(comps)
+    path = "all-components-split" if inv_alg is None else "orthogonal-components-split"
+    return ComponentReport(comps, path)
 
 
-def _stable_component_report(inv_alg, alg, e):
-    sub, sp = _component_subalgebra(alg, e)
-    cols = []
-    basis = sp.basis_rows()
-    for b in basis:
-        img = inv_alg.apply(tuple(b))
-        c = sp.coordinates(list(img))
-        if c is None:
-            raise CertificateError("involution does not preserve a stable component")
-        cols.append(c)
-    sub_inv = InvolutionAlgebra(sub, Mat(alg.p, cols).T)
-    try:
-        kind = sub_inv.kind()
-    except ValueError as exc:
-        raise UnsupportedCenterError(str(exc)) from exc
-    center_dim = len(sub.center())
+def _stable_component(alg, inv_alg, e):
+    """Facts of the component A e, e a central idempotent fixed by the
+    involution (if any).  When e is the unit the component is `alg` itself
+    with the given involution; otherwise it is rebuilt as e*A*e with the
+    involution restricted to it."""
+    sub, sub_inv, kind = alg, inv_alg, None
+    if e != alg.unit:
+        sub, sp = _component_subalgebra(alg, e)
+        if inv_alg is not None:
+            cols = [sp.coordinates(list(inv_alg.apply(b))) for b in sp.basis_rows()]
+            if None in cols:
+                raise CertificateError("involution does not preserve a stable component")
+            sub_inv = InvolutionAlgebra(sub, Mat(sub.p, cols).T)
+    if sub_inv is not None:
+        try:
+            kind = sub_inv.kind()
+        except ValueError as exc:
+            raise UnsupportedCenterError(str(exc)) from exc
     splitness, ram = _component_splitness(sub, sub_inv, kind)
-    return {
-        "dim": sub.dim,
-        "center_dim": center_dim,
-        "involution": "stable",
-        "kind": kind,
-        "splitness": splitness,
-        "ramification": ram,
-    }
+    involution = None if inv_alg is None else "stable"
+    return dict(zip(_COMPONENT_KEYS, (sub.dim, len(sub.center()), involution, kind, splitness, ram)))
 
 
 # ---------------------------------------------------------------------------
@@ -983,26 +972,28 @@ _COMPONENT_REASONS = {
 }
 
 
-def verdict_from_components(comps, path, evidence=None):
-    """{verdict, path, evidence} of a component criterion on a ComponentReport.
+def verdict_from_components(comps, evidence=None):
+    """{verdict, path, evidence} of the component criterion on a
+    ComponentReport, along the report's own path.
 
     'orthogonal-components-split' needs every orthogonal component of Ebar
-    split (the involution is known); 'all-components-split' needs every
-    component split, which settles the criterion for any involution.
-    `evidence` is extended in place with the components, the reason and
-    any blocking component.
+    split (the involution is known), and names the first that is not;
+    'all-components-split' needs every component split, which settles the
+    criterion for any involution.  `evidence` is extended in place with the
+    components, the reason and any blocking component.
     """
     evidence = {} if evidence is None else evidence
-    evidence["components"] = comps.to_json()
-    if path == "orthogonal-components-split":
-        ok, blocking = comps.orthogonal_all_split()
+    evidence["components"] = [dict(c) for c in comps]
+    if comps.path == "orthogonal-components-split":
+        blocking = next((c for c in comps if c["kind"] == "orthogonal" and c["splitness"] != "split"), None)
+        ok = blocking is None
     else:
         ok, blocking = all(c["splitness"] == "split" for c in comps), None
-    evidence["reason"] = _COMPONENT_REASONS[path][0 if ok else 1]
+    evidence["reason"] = _COMPONENT_REASONS[comps.path][0 if ok else 1]
     if blocking is not None:
         evidence["blocking_component"] = dict(blocking)
     verdict = "guaranteed" if ok else "not-guaranteed-by-criterion"
-    return {"verdict": verdict, "path": path, "evidence": evidence}
+    return {"verdict": verdict, "path": comps.path, "evidence": evidence}
 
 
 def hp_verdict(m, form=None):
@@ -1011,7 +1002,9 @@ def hp_verdict(m, form=None):
     'guaranteed' via (1) |G| prime to p, (2) projective module, or (3) all
     orthogonal components of Ebar split.  The criterion is sufficient, not
     necessary: the negative verdict is always
-    'not-guaranteed-by-criterion', never a claim of failure.
+    'not-guaranteed-by-criterion', never a claim of failure.  Without a
+    form, (3) is settled only when every component is split (then the
+    orthogonal ones are, for any involution).
     """
     report = check_module(m)
     report.raise_if_invalid()
@@ -1026,15 +1019,9 @@ def hp_verdict(m, form=None):
     rad = jacobson_radical(E)
     evidence["dim_end"] = E.dim
     evidence["dim_radical"] = rad.dim
-    if form is not None:
-        from .hermitian import induced_involution
+    if form is None:
+        return verdict_from_components(decompose_components_plain(rad.quotient.algebra), evidence)
+    from .hermitian import induced_involution
 
-        gamma = induced_involution(m, form)
-        quot = quotient_with_involution(E, rad, gamma.apply_matrix)
-        comps = decompose_components(quot.involution)
-        return verdict_from_components(comps, "orthogonal-components-split", evidence)
-    # no form supplied: the criterion can still be settled when every
-    # component is split (then orthogonal ones are split for any involution)
-    comps = decompose_components_plain(rad.quotient.algebra)
-    return verdict_from_components(comps, "all-components-split", evidence)
-
+    quot = quotient_with_involution(E, rad, induced_involution(m, form).apply_matrix)
+    return verdict_from_components(decompose_components(quot.involution), evidence)

@@ -63,16 +63,15 @@ def induced_involution(module, form):
     if form.rank != module.dim:
         raise InputError("form rank does not match the module dimension")
     A = form.gram if isinstance(form, QuadForm) else form
+    # polynomial arithmetic when every entry is a polynomial, exact Mat otherwise
     try:
-        pa = {g: PolyMat.from_mat(M) for g, M in module.action.items()}
-        pA = PolyMat.from_mat(A)
-        for g, M in pa.items():
-            if M.T * pA * M != pA:
-                raise InputError(f"form is not G-invariant at generator {g}")
+        acts = {g: PolyMat.from_mat(M) for g, M in module.action.items()}
+        gram = PolyMat.from_mat(A)
     except ValueError:
-        for g, M in module.action.items():
-            if M.T * A * M != A:
-                raise InputError(f"form is not G-invariant at generator {g}")
+        acts, gram = module.action, A
+    for g, M in acts.items():
+        if M.T * gram * M != gram:
+            raise InputError(f"form is not G-invariant at generator {g}")
     return InducedInvolution(module, A)
 
 

@@ -185,8 +185,7 @@ def test_criterion_09_counterexample_end_state(h1, h2):
 
 def test_criterion_10_verdicts(bundle1, tensor_bundle):
     t0 = time.time()
-    from gquadforms.construct import hp_verdict_from_quotient_tensor
-    from gquadforms.grpalg import GModule, GroupSpec, hp_verdict
+    from gquadforms.grpalg import GModule, GroupSpec, decompose_components, hp_verdict, verdict_from_components
 
     # (a) trivial module with <1>
     grp = GroupSpec.cp_cubed(P)
@@ -214,7 +213,7 @@ def test_criterion_10_verdicts(bundle1, tensor_bundle):
     out_d = hp_verdict(GModule(GroupSpec(P, []), {}, dim=4))
     assert out_d["verdict"] == "guaranteed" and out_d["path"] == "order-prime-to-p"
     # negative regime: the tensor module
-    out_e = hp_verdict_from_quotient_tensor(tensor_bundle)
+    out_e = verdict_from_components(decompose_components(tensor_bundle.quotient_involution))
     assert out_e["verdict"] == "not-guaranteed-by-criterion"
     blocking = out_e["evidence"]["blocking_component"]
     assert blocking["kind"] == "orthogonal" and blocking["splitness"] == "nonsplit-quaternion"

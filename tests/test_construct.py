@@ -290,6 +290,17 @@ def test_pipeline_report_bytes_pinned(pipeline_report):
     )
 
 
+def test_pipeline_report_bytes_pinned_at_word_size_p():
+    # `gquadforms counterexample --p 2147483647 -o FILE`
+    from gquadforms.construct import counterexample_pipeline, default_quaternions
+
+    text = dump_json(counterexample_pipeline(*default_quaternions(2**31 - 1))) + "\n"
+    assert (
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        == "6beab74d6aebf43b035ac21f55471c16b9b71eb317238eeb14fbe18aa6970597"
+    )
+
+
 # ---------------------------------------------------------------------
 # one build: build_counterexample behind both CLI commands
 # ---------------------------------------------------------------------

@@ -345,6 +345,104 @@ def test_decompose_single_split_component():
     assert comps[0]["splitness"] == "split"
 
 
+def _unit(n, i, j):
+    return Mat.from_int_rows(P, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+def _transpose_algebra_on_basis(basis):
+    """(M_n(k) on exactly this basis, not reduced to RREF, with the
+    transpose involution): coordinates through the inverse of the basis'
+    flattening."""
+    to_coords = Mat(P, [M.flatten() for M in basis]).T.inverse()
+
+    def coords(M):
+        return to_coords.apply(M.flatten())
+
+    alg = Algebra(P, [[coords(a * b) for b in basis] for a in basis], coords(Mat.identity(P, basis[0].nrows)))
+    return InvolutionAlgebra(alg, Mat(P, [coords(M.T) for M in basis]).T)
+
+
+def test_torus_and_clifford_pair_agree(tensor_bundle, h1, h2):
+    # M_4(k), transpose: a split orthogonal component.  The first basis
+    # element diag(0, 1, t, t + 1) has four distinct roots in k, so the
+    # torus certifies it; the Clifford pair finds Q1 = Q2.
+    t = RatFunc.t(P)
+    D = _unit(4, 1, 1) + _unit(4, 2, 2) * t + _unit(4, 3, 3) * (t + RatFunc.one(P))
+    offdiag = [_unit(4, i, j) for i in range(4) for j in range(4) if i != j]
+    ia = _transpose_algebra_on_basis([D] + [_unit(4, i, i) for i in range(3)] + offdiag)
+    assert ia.kind() == "orthogonal"
+    assert grpalg._try_split_torus(ia.algebra)
+    assert grpalg._pair_ramification(ia) == []
+    assert grpalg._component_splitness(ia.algebra, ia, "orthogonal") == ("split", [])
+    # the pinned tensor quotient M_2(Q), Q a division algebra: no split
+    # torus exists, and the pair gives [Q] with Ram(Q) = Ram(H1) + Ram(H2)
+    tq = tensor_bundle.quotient_involution
+    ram_q = sorted(set(h1.ramification_set()) | set(h2.ramification_set()), key=lambda v: v.sort_key())
+    assert not grpalg._try_split_torus(tq.algebra)
+    assert grpalg._pair_ramification(tq) == ram_q
+    assert grpalg._component_splitness(tq.algebra, tq, "orthogonal") == (
+        "nonsplit-quaternion",
+        [str(v) for v in ram_q],
+    )
+
+
+def test_tensor_quotient_is_its_own_component(monkeypatch, bundle1, bundle2):
+    from gquadforms.construct import tensor_pair
+
+    calls = {"center": 0, "torus": 0, "algebra_from_span": 0}
+    center = Algebra.center
+
+    def counted_center(self):
+        calls["center"] += getattr(self, "_center", None) is None  # a computation, not a lookup
+        return center(self)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Algebra, "center", counted_center)
+    monkeypatch.setattr(grpalg, "_try_split_torus", counted("torus", grpalg._try_split_torus))
+    monkeypatch.setattr(grpalg, "algebra_from_span", counted("algebra_from_span", grpalg.algebra_from_span))
+    tb = tensor_pair(bundle1, bundle2)
+    out = grpalg.verdict_from_components(decompose_components(tb.quotient_involution))
+    assert calls == {"center": 1, "torus": 0, "algebra_from_span": 0}
+    assert out["path"] == "orthogonal-components-split"
+    assert out["evidence"]["blocking_component"]["splitness"] == "nonsplit-quaternion"
+
+
+def test_stable_components_with_a_form(monkeypatch):
+    # M_2(k) x M_2(k) block-diagonal with X -> S^-1 X^T S, S = diag(I, J):
+    # the transpose on the first block, the symplectic involution on the
+    # second.  Both components are stable, so each is rebuilt as e*A*e with
+    # the involution restricted to it.
+    blocks = [_unit(4, i, j) for b in (0, 2) for i in (b, b + 1) for j in (b, b + 1)]
+    alg = Algebra.from_matrices(P, blocks)
+    S = Mat.from_int_rows(P, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    Sinv = S.inverse()
+    ia = InvolutionAlgebra(alg, Mat(P, [alg.coords_of(Sinv * M.T * S) for M in alg.matrices]).T)
+    rebuilt = []
+    subalgebra = grpalg._component_subalgebra
+    monkeypatch.setattr(grpalg, "_component_subalgebra", lambda a, e: rebuilt.append(e) or subalgebra(a, e))
+    report = decompose_components(ia)
+    assert len(rebuilt) == 2
+    keys = ["dim", "center_dim", "involution", "kind", "splitness", "ramification"]
+    assert [list(c) for c in report] == [keys, keys]
+    # in the order of the central idempotents
+    assert list(report) == [
+        {"dim": 4, "center_dim": 1, "involution": "stable", "kind": kind, "splitness": "split", "ramification": []}
+        for kind in ("symplectic", "orthogonal")
+    ]
+    out = grpalg.verdict_from_components(report)
+    assert (out["verdict"], out["path"]) == ("guaranteed", "orthogonal-components-split")
+    assert out["evidence"]["reason"] == "all orthogonal components split"
+    plain = grpalg.verdict_from_components(grpalg.decompose_components_plain(alg))
+    assert (plain["verdict"], plain["path"]) == ("guaranteed", "all-components-split")
+    assert [(c["involution"], c["kind"]) for c in plain["evidence"]["components"]] == [(None, None)] * 2
+
+
 def test_component_splitness_lets_unexpected_errors_through(monkeypatch):
     import gquadforms.csa
     from gquadforms.algebra import Algebra

@@ -50,6 +50,26 @@ def test_non_invariant_form_rejected(bundle1):
         induced_involution(m, QuadForm(Mat.identity(P, 8)))
 
 
+def test_non_invariant_polynomial_form_is_refused_without_exact_fallback(monkeypatch, bundle1):
+    m = bundle1.module
+    A = bundle1.form.gram
+    bump = Mat(P, [[RatFunc.from_int(P, int(i == j == 0)) for j in range(8)] for i in range(8)])
+    perturbed = QuadForm(A + bump)
+    bad = next(g for g, M in m.action.items() if M.T * perturbed.gram * M != perturbed.gram)
+    products = []
+    mul = Mat.__mul__
+
+    def counted(self, other):
+        products.append((self.nrows, self.ncols))
+        return mul(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    with pytest.raises(InputError) as err:
+        induced_involution(m, perturbed)
+    assert str(err.value) == f"form is not G-invariant at generator {bad}"
+    assert products == []
+
+
 def test_adjoint_identity_on_basis(bundle1):
     gamma = bundle1.gamma
     for X in bundle1.end_algebra.basis[:8]:
