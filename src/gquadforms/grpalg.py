@@ -21,14 +21,18 @@ The chain's cut values run in one domain: its matrices are cleared of
 denominators and their charpolys come from `linalg.charpoly_coeffs` over
 F_p[t].  Every other batch of matrix work runs in one of two domains,
 chosen per call from the matrices themselves: int64 numpy mod p when
-`linalg.int64_stack` accepts them (F_p-constant entries within the int64
-range: a constant module, its commutant and radical), exact `Mat`/`KSpan`
-arithmetic over F_p(t) otherwise.  The fork sits in two places:
+`linalg.int64_stack` accepts them (F_p-constant entries and
+n (p - 1)^2 < 2^63 for n x n matrices: a constant module, its commutant
+and radical), exact `Mat`/`KSpan` arithmetic over F_p(t) otherwise.  Constancy is decided once per matrix
+(`Mat.residues`), and every Mat the int64 paths build carries its
+residues, so a constant algebra stays in int64 arrays from the commutant
+through the chain to the certificate.  The fork sits in three places:
 `linalg.span_products` for RREF bases, closure, structure constants and
-the certificate's ideal and nilpotency checks, and `endomorphism_algebra`,
+the certificate's ideal and nilpotency checks; `endomorphism_algebra`,
 which solves for the commutant with `_commutant_constant` (mod p
-nullspace) or `commutant_of_matrices` (exact solve).  Both domains give
-identical results.
+nullspace) or `commutant_of_matrices` (exact solve); and the chain's
+combination step, one int64 product while N (p - 1)^2 < 2^63 for N chain
+elements.  Both domains give identical results.
 
 The semisimple quotient E/R is built in one place: `certify_radical`
 constructs it to certify the radical and returns it in the
@@ -72,6 +76,7 @@ from .linalg import (
     matrix_units,
     modp_nullspace,
     poly_einsum,
+    rref_mats,
     span_products,
 )
 
@@ -280,16 +285,15 @@ def endomorphism_algebra(m):
 
 def _commutant_constant(p, n, actions):
     """numpy fast path: constant actions (an `int64_stack`) give an
-    F_p-defined solution space."""
+    F_p-defined solution space, returned as its RREF basis of Mats that
+    carry their residues."""
     ident = np.eye(n, dtype=np.int64)
     blocks = []
     for A in actions:
         # X A - A X = 0  <=>  (A^T kron I - I kron A) vec(X) = 0 (row-major vec)
         blocks.append(np.kron(ident, A.T) - np.kron(A, ident))
     system = np.concatenate(blocks, axis=0) % p
-    null_rows = modp_nullspace(system, p)
-    basis = [Mat.from_int_rows(p, row.reshape(n, n).tolist()) for row in null_rows]
-    return span_products(p, basis)
+    return rref_mats(p, modp_nullspace(system, p), n, n)
 
 
 def commutant_of_matrices(p, n, mats):
@@ -438,18 +442,29 @@ def _radical_chain(p, n, mats):
     certificate is `certify_radical` (or `require_semisimple`'s zero test):
     a non-solution of the solve only enlarges J, and both then fail closed.
 
-    One domain: each level clears the denominators of J (a nonzero scalar
-    per element leaves the span alone), so the cut values are polynomials
-    from `linalg.charpoly_coeffs` over F_p[t], in int64 while
+    One domain for the cut values: each level clears the denominators of J
+    (a nonzero scalar per element leaves the span alone), so they are
+    polynomials from `linalg.charpoly_coeffs` over F_p[t], in int64 while
     (n + 1)(p - 1)^2 < 2^63 and in Python integers beyond, and the solve
-    and the combination both run on the cleared matrices.
+    and the combination both run on the cleared matrices.  A constant J
+    (one `int64_stack`, n (p - 1)^2 < 2^63) needs no clearing, and when
+    its solutions C are F_p-constant too and N (p - 1)^2 < 2^63, N = len(J),
+    the combination and its RREF are one exact int64 product C S mod p and
+    `modp_rref`, so a constant chain never leaves int64.
     """
     J = list(mats)
     q = 1
     while J:
-        J = [M.clear_denominators() for M in J]
+        S = int64_stack(p, J)
+        if S is None:
+            J = [M.clear_denominators() for M in J]
         combos = _semilinear_nullspace(p, _cut_values(p, n, q, J), q)
-        J = span_products(p, [combination(combo, J) for combo in combos])
+        exact_sums = S is not None and len(J) * (p - 1) ** 2 < 2**63
+        C = Mat(p, combos).residues() if combos and exact_sums else None
+        if C is None:
+            J = span_products(p, [combination(combo, J) for combo in combos])
+        else:
+            J = rref_mats(p, C @ S.reshape(len(J), -1) % p, n, n)
         q *= p
         if q > n:
             break

@@ -20,6 +20,13 @@ and for the coordinates of matrix products in a span: int64 mod p when
 every matrix is F_p-constant within its stated range, exact `Mat`/`KSpan`
 arithmetic otherwise, with the same answer either way.
 
+Constancy is decided once per matrix: `Mat.residues` scans a Mat at most
+once and keeps its int64 residues (or "not constant"), and the Mats
+`rref_mats` builds from residues (the int64 output of `span_products` and
+of the constant commutant) carry them from the start.  `int64_stack`
+stacks these memos after its range gate, n (p - 1)^2 < 2^63 for n
+columns, and `coefficient_stack` reads them for constant matrices.
+
 One charpoly: `charpoly_coeffs` is a batched, division-free Berkowitz over
 F_p[t] (correct in characteristic p), in int64 while (n + 1)(p - 1)^2 <
 2^63 and in Python integers beyond.  The radical chain's cut values and
@@ -37,13 +44,15 @@ from .funcfield import Poly, RatFunc, denominator_lcm
 
 
 class Mat:
-    """Immutable dense matrix over F_p(t)."""
+    """Immutable dense matrix over F_p(t), with its F_p residues memoised
+    (`residues`)."""
 
-    __slots__ = ("p", "rows")
+    __slots__ = ("p", "rows", "_residues")
 
     def __init__(self, p, rows):
         self.p = p
         self.rows = tuple(tuple(r) for r in rows)
+        self._residues = None  # None: not decided yet; False: not constant
 
     @classmethod
     def zeros(cls, p, n, m=None):
@@ -80,6 +89,17 @@ class Mat:
 
     def is_zero(self):
         return all(e.is_zero() for r in self.rows for e in r)
+
+    def residues(self):
+        """The entries as an (nrows, ncols) int64 array of residues mod p, or
+        None when some entry is not an F_p constant (or p > 2^63, where a
+        residue need not fit in int64).  Decided by one scan per matrix."""
+        if self._residues is None:
+            self._residues = False
+            if self.p <= 2**63 and all(e.is_constant() for r in self.rows for e in r):
+                R = np.array([[e.num.lc for e in r] for r in self.rows], dtype=np.int64)
+                self._residues = R.reshape(self.nrows, self.ncols)
+        return None if self._residues is False else self._residues
 
     def __add__(self, other):
         return Mat(
@@ -555,8 +575,12 @@ def _trim(a):
 
 def coefficient_stack(mats):
     """Polynomial-entry Mats of one shape as an int64 array (len, rows,
-    cols, D): entry [k, i, j, d] is the t^d coefficient of mats[k][i, j]."""
-    arrs = [PolyMat.from_mat(M).arr for M in mats]
+    cols, D): entry [k, i, j, d] is the t^d coefficient of mats[k][i, j].
+    A constant Mat contributes its `residues`."""
+    arrs = []
+    for M in mats:
+        R = M.residues()
+        arrs.append(PolyMat.from_mat(M).arr if R is None else R[None])
     out = np.zeros((len(arrs),) + arrs[0].shape[1:] + (max(a.shape[0] for a in arrs),), dtype=np.int64)
     for k, a in enumerate(arrs):
         out[k, ..., : a.shape[0]] = np.moveaxis(a, 0, -1)
@@ -630,19 +654,22 @@ def charpoly_coeffs(p, Z):
 
 
 def int64_stack(p, mats):
-    """The entries of `mats` as one (len, rows, cols) int64 array, or None.
+    """The `Mat.residues` of `mats` as one (len, rows, cols) int64 array, or
+    None.
 
-    None unless every entry is an F_p constant and int64 arithmetic mod p is
-    exact at this size: a dot product of n residues, n (p-1)^2 with n the
-    column count, must stay below 2^63.  The int64 paths of `span_products`
-    and of the constant commutant run only on what this returns.
+    None unless int64 arithmetic mod p is exact at this size (a dot product
+    of n residues, n (p-1)^2 with n the column count, must stay below 2^63;
+    checked first, so no residue array is built beyond it) and every matrix
+    is F_p-constant.  The int64 paths of `span_products`, of the constant
+    commutant and of the radical chain run only on what this returns.
     """
     n = max((M.ncols for M in mats), default=1)
     if n * (p - 1) ** 2 >= 2**63:
         return None
-    if not all(e.is_constant() for M in mats for row in M.rows for e in row):
+    stack = [M.residues() for M in mats]
+    if any(R is None for R in stack):
         return None
-    return np.array([[[e.num.lc for e in row] for row in M.rows] for M in mats], dtype=np.int64)
+    return np.array(stack, dtype=np.int64)
 
 
 def modp_rref(A, p):
@@ -711,8 +738,7 @@ def span_products(p, xs, ys=None, basis=None):
     n, m = Z.shape[-2:]
     Z = Z.reshape(-1, n * m)
     if basis is None:
-        R, _ = modp_rref(Z, p)
-        return _mats(p, _int_ratfuncs(p, R), n, m)
+        return rref_mats(p, Z, n, m)
     B, pivots = modp_rref(stacks[-1].reshape(len(basis), -1), p)
     C = Z[:, pivots]
     inside = ~((Z - C @ B) % p).any(axis=1)
@@ -750,6 +776,16 @@ def _int_ratfuncs(p, arr):
     values, index = np.unique(arr, return_inverse=True)
     table = [RatFunc.from_int(p, v) for v in values.tolist()]
     return [[table[k] for k in row] for row in index.reshape(arr.shape).tolist()]
+
+
+def rref_mats(p, Z, n, m):
+    """The RREF basis of the row space of the int array Z mod p, as n x m
+    Mats (row-major flatten) that carry their residues."""
+    R, _ = modp_rref(Z, p)
+    mats = _mats(p, _int_ratfuncs(p, R), n, m)
+    for M, r in zip(mats, R):
+        M._residues = r.reshape(n, m)
+    return mats
 
 
 def _mats(p, rows, n, m):

@@ -168,6 +168,13 @@ def test_commutant_basis_is_reduced_once(monkeypatch, constant):
             return real(p, xs, ys, basis)
 
         monkeypatch.setattr(module, "span_products", counted)
+    real_rref_mats = grpalg.rref_mats
+
+    def counted_rref(p, Z, n, m):  # the constant solver reduces its nullspace directly
+        plain.append(len(Z))
+        return real_rref_mats(p, Z, n, m)
+
+    monkeypatch.setattr(grpalg, "rref_mats", counted_rref)
     E = endomorphism_algebra(m)
     assert E.algebra().matrices == E.basis and span_products(P, E.basis) == E.basis
     assert plain == [E.dim]  # the solver's own reduction, and no other
@@ -1137,3 +1144,129 @@ def test_span_products_exact_beyond_int64_coordinate_range(monkeypatch):
     assert None not in fast["members"]
     _exact_domain(monkeypatch)
     assert outputs() == fast
+
+
+# ---------------------------------------------------------------------
+# the radical chain: int64 and exact paths agree
+# ---------------------------------------------------------------------
+
+
+def _chain_paths(monkeypatch):
+    """Record the combination path of every chain level: 'int64' (one
+    residue product reduced by `rref_mats`) or 'exact' (`combination`)."""
+    paths = []
+    real_combination, real_rref_mats = grpalg.combination, grpalg.rref_mats
+
+    def combination(coeffs, mats):
+        paths.append("exact")
+        return real_combination(coeffs, mats)
+
+    def rref_mats(p, Z, n, m):
+        paths.append("int64")
+        return real_rref_mats(p, Z, n, m)
+
+    monkeypatch.setattr(grpalg, "combination", combination)
+    monkeypatch.setattr(grpalg, "rref_mats", rref_mats)
+    return paths
+
+
+def _chain_cases(bundle1):
+    """(p, name, algebra basis, combination paths, certify in both domains)."""
+    big, huge = 2**31 - 1, 2**61 - 1
+    units = matrix_units(big, 2)
+    cases = [
+        (P, f"boxes{i}", endomorphism_algebra(_box_module(P, boxes, seed=i)).basis, {"int64"}, True)
+        for i, boxes in enumerate(_BOXES)
+    ]
+    cases += [
+        (P, "k[C_3^2]", endomorphism_algebra(_regular_module_c3squared()).basis, {"int64"}, True),
+        # the exact certificate takes about 30 s here, so it is certified in
+        # int64 only (test_span_products_domains_agree_on_kc3cubed compares
+        # its structure constants across domains)
+        (P, "k[C_3^3]", endomorphism_algebra(_regular_module_cp3()).basis, {"int64"}, False),
+        # polynomial entries: the first level is exact, and its RREF output
+        # is F_p-constant, so the q = 3 level runs in int64
+        (P, "E_N", bundle1.end_algebra.basis, {"exact", "int64"}, True),
+        # N (p - 1)^2 < 2^63 for N = 2 chain elements at p = 2^31 - 1, not for N = 3
+        (big, "dual numbers", _conjugated(big, [Mat.identity(big, 2), units[1]]), {"int64"}, True),
+        (big, "upper-triangular", _conjugated(big, [units[0], units[1], units[3]]), {"exact"}, True),
+        # (p - 1)^2 >= 2^63: no int64 stack at all
+        (huge, "unipotent", endomorphism_algebra(_unipotent_module(huge)).basis, {"exact"}, True),
+    ]
+    return cases
+
+
+def _chain_outputs(cases, paths):
+    out = []
+    for p, name, basis, _, certify in cases:
+        del paths[:]
+        n = basis[0].nrows
+        rad = grpalg._radical_chain(p, n, basis)
+        cert = grpalg.certify_radical(EndAlgebra(p, n, basis), rad).certificate if certify else None
+        out.append((name, rad, cert, set(paths)))
+    return out
+
+
+def test_radical_chain_int64_and_exact_paths_agree(monkeypatch, bundle1):
+    cases = _chain_cases(bundle1)
+    paths = _chain_paths(monkeypatch)
+    fast = _chain_outputs(cases, paths)
+    assert [f[3] for f in fast] == [c[3] for c in cases]
+    assert all(rad for _, rad, _, _ in fast[:6])
+    _exact_domain(monkeypatch)
+    exact = _chain_outputs(cases, paths)
+    for f, e in zip(fast, exact):
+        assert f[:3] == e[:3], f[0]
+        assert e[3] <= {"exact"}, e[0]
+
+
+# ---------------------------------------------------------------------
+# cut values: one Berkowitz batch per level, split under a budget
+# ---------------------------------------------------------------------
+
+
+def _random_poly_mats(p, n, count, degree, seed):
+    rng = random.Random(seed)
+    return [
+        Mat(p, [[RatFunc(Poly(p, [rng.randrange(p) for _ in range(degree + 1)])) for _ in range(n)] for _ in range(n)])
+        for _ in range(count)
+    ]
+
+
+_CUT_CASES = {
+    "constant": lambda: (P, 3, endomorphism_algebra(_box_module(P, _BOXES[2], seed=2)).basis),
+    "polynomial": lambda: (P, 3, _random_poly_mats(P, 4, 5, 6, seed=1)),
+    "polynomial at 2^61 - 1": lambda: (2**61 - 1, 2, _random_poly_mats(2**61 - 1, 3, 4, 5, seed=2)),
+}
+
+
+@pytest.mark.parametrize("case", list(_CUT_CASES))
+def test_cut_values_match_matrix_charpolys(case):
+    p, q, J = _CUT_CASES[case]()
+    n = J[0].nrows
+    cut = grpalg._cut_values(p, n, q, J)
+    assert cut == [[(X * Y).charpoly()[n - q] for Y in J] for X in J]
+    assert any(not v.is_constant() for row in cut for v in row) == (case != "constant")
+
+
+def test_certify_radical_scans_each_matrix_once(monkeypatch):
+    E = endomorphism_algebra(_box_module(P, _BOXES[0], seed=0))
+    rad = grpalg._radical_chain(P, E.n, E.basis)
+    scanned, calls = [], []
+    real_residues, real_is_constant = Mat.residues, RatFunc.is_constant
+
+    def residues(self):
+        if self._residues is None:  # not decided yet: this call scans
+            scanned.append(self)
+        return real_residues(self)
+
+    monkeypatch.setattr(Mat, "residues", residues)
+    monkeypatch.setattr(RatFunc, "is_constant", _counting(calls, real_is_constant))
+    result = grpalg.certify_radical(E, rad)
+    assert result.certificate["dims"] == {"algebra": 24, "radical": 16, "quotient": 8}
+    assert len({id(M) for M in scanned}) == len(scanned)
+    # E's basis and the radical carry their residues from the int64 paths
+    assert not any(M is B for M in scanned for B in E.basis + rad)
+    # the one scan left is the quotient's regular representation (and the
+    # chain's solutions on it), each matrix once
+    assert scanned and len(calls) <= sum(M.nrows * M.ncols for M in scanned)

@@ -294,3 +294,76 @@ def test_apply_and_combination_match_the_loops_they_replace(p):
                     old = old + B * c
             new = combination(coeffs, mats)
             assert new == old and (new.nrows, new.ncols) == (n, m)
+
+
+# ---------------------------------------------------------------------
+# the residue memo: constancy decided once per matrix
+# ---------------------------------------------------------------------
+
+
+def _count_constancy_scans(monkeypatch):
+    """Count `RatFunc.is_constant` calls; returns the list that grows."""
+    calls = []
+    real = RatFunc.is_constant
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(RatFunc, "is_constant", counting)
+    return calls
+
+
+def test_span_products_output_carries_its_residues(monkeypatch):
+    from gquadforms.linalg import int64_stack, span_products
+
+    rng = random.Random(7)
+    mats = [Mat.from_int_rows(P, [[rng.randrange(P) for _ in range(3)] for _ in range(2)]) for _ in range(5)]
+    basis = span_products(P, mats)
+    assert 0 < len(basis) <= 5
+    calls = _count_constancy_scans(monkeypatch)
+    for M in mats + basis:
+        R = M.residues()
+        assert R.dtype == np.int64 and R.shape == (M.nrows, M.ncols)
+        assert R.tolist() == [[e.num.lc for e in row] for row in M.rows]
+        assert all(e.is_polynomial() and e.num.degree <= 0 for e in M.flatten())
+    assert int64_stack(P, basis).tolist() == [M.residues().tolist() for M in basis]
+    assert calls == []  # every residue array was there from the start
+
+
+def test_residue_memo_decides_constancy_once(monkeypatch):
+    from gquadforms.linalg import int64_stack
+
+    t, one = RatFunc.t(P), RatFunc.one(P)
+    for entries in ([[one, t]], [[one, RatFunc(Poly.one(P), Poly.t(P))]]):
+        M = Mat(P, entries)
+        calls = _count_constancy_scans(monkeypatch)
+        assert M.residues() is None and int64_stack(P, [M]) is None
+        assert M.residues() is None and int64_stack(P, [M, M]) is None
+        assert len(calls) == 2  # the first scan stops at the first non-constant entry
+        monkeypatch.undo()
+    C = Mat(P, [[one, RatFunc.from_int(P, 2)], [RatFunc.zero(P), one]])
+    calls = _count_constancy_scans(monkeypatch)
+    for _ in range(3):
+        assert int64_stack(P, [C]).tolist() == [[[1, 2], [0, 1]]]
+    assert len(calls) == 4
+
+
+def test_int64_gate_runs_before_any_residue_scan(monkeypatch):
+    from gquadforms.linalg import int64_stack
+
+    p = 2**31 - 1
+    calls = _count_constancy_scans(monkeypatch)
+    # 3 (p-1)^2 >= 2^63: no int64 stack at n = 3, and nothing scanned for one
+    three = Mat(p, [[RatFunc.from_int(p, p - 1 - i - j) for j in range(3)] for i in range(3)])
+    assert int64_stack(p, [three]) is None and calls == []
+    # 2 (p-1)^2 < 2^63 still holds, so n = 2 is int64-exact at this p
+    two = Mat(p, [[RatFunc.from_int(p, p - 1)] * 2] * 2)
+    assert int64_stack(p, [two]).tolist() == [[[p - 1] * 2] * 2] and len(calls) == 4
+    # a prime above 2^63 (2^89 - 1): no residue fits in int64, and nothing overflows
+    big = 2**89 - 1
+    M = Mat.from_int_rows(big, [[big - 1, 1], [0, 2**70]])
+    N = Mat(big, [[RatFunc.from_int(big, big - 1)]])
+    assert M.residues() is None and N.residues() is None
+    assert int64_stack(big, [M]) is None and int64_stack(big, [N]) is None
+    assert M.rows[1][1] == RatFunc.from_int(big, 2**70)
