@@ -190,26 +190,23 @@ class ModuleReport:
 
 def check_module(m):
     """Verify M^p = I and pairwise commutation for all generator actions.
-    In characteristic p, M^p - I = (M - I)^p, and a nilpotent n x n matrix
-    vanishes at its n-th power, so M^p = I iff (M - I)^min(p, n) = 0."""
+
+    Both are decided on the displacements c_g (g - I) as PolyMats, c_g the
+    lcm of the denominators of g - I (`poly_mats`): a nonzero scalar changes
+    neither nilpotency nor commutation, and g, h commute iff g - I and
+    h - I do.  In characteristic p, M^p - I = (M - I)^p, and a nilpotent
+    n x n matrix vanishes at its n-th power, so M^p = I iff
+    (M - I)^min(p, n) = 0."""
     problems = []
-    p = m.p
-    use_poly = True
-    try:
-        acts = m.poly_action()
-    except ValueError:
-        use_poly = False
-        acts = m.action
-    ident = (
-        PolyMat.identity(p, m.dim) if use_poly else Mat.identity(p, m.dim)
-    )
     names = list(m.group.generators)
+    ident = Mat.identity(m.p, m.dim)
+    disp = dict(zip(names, poly_mats([m.action[g] - ident for g in names])))
     for g in names:
-        if not ((acts[g] - ident) ** min(p, m.dim)).is_zero():
+        if not (disp[g] ** min(m.p, m.dim)).is_zero():
             problems.append(f"generator {g} does not satisfy M^p = I")
     for idx, g in enumerate(names):
         for h in names[idx + 1 :]:
-            if acts[g] * acts[h] != acts[h] * acts[g]:
+            if disp[g] * disp[h] != disp[h] * disp[g]:
                 problems.append(f"generators {g} and {h} do not commute")
     return ModuleReport(problems)
 
@@ -926,52 +923,20 @@ def _stable_component(alg, inv_alg, e):
 def is_projective(m):
     """Projective = free over k[G] for a p-group in characteristic p.
 
-    The minimal number of generators is r = dim(m / rad(k[G]) m) with
-    rad(k[G]) the augmentation ideal; lifting a residue basis gives a
-    surjection k[G]^r -> m by Nakayama, which is an isomorphism iff
-    r * |G| = dim m (kernel zero by dimension count).  The spanning
-    property of the lifted generators is verified explicitly.
+    k[G] is local with maximal ideal the augmentation ideal I, and I m is
+    the sum of the images of g - 1 over the generators g.  By Nakayama's
+    lemma, lifts of a basis of m / I m generate m, so k[G]^r -> m is onto
+    for r = dim(m / I m); it is an isomorphism, and m is free, iff
+    r * |G| = dim m (kernel zero by dimension count).
     """
     report = check_module(m)
     report.raise_if_invalid()
-    p = m.p
-    order = m.group.order
-    ident = Mat.identity(p, m.dim)
-    # rad * m = sum of images of (g - 1)
-    sp = KSpan(p)
+    ident = Mat.identity(m.p, m.dim)
+    sp = KSpan(m.p)
     for g in m.group.generators:
         for row in (m.action[g] - ident).T.rows:
             sp.add(row)
-    r = m.dim - sp.dim
-    if r * order != m.dim:
-        return False
-    # verify the lifted residue basis really generates: span of g^a x_l,
-    # x_l the unit vectors that extend rad * m to all of m
-    basis_vecs = []
-    for i in range(m.dim):
-        e = [RatFunc.zero(p)] * m.dim
-        e[i] = RatFunc.one(p)
-        if sp.add(e):
-            basis_vecs.append(e)
-    group_mats = _all_group_elements(m)
-    span = KSpan(p)
-    for vec in basis_vecs:
-        for gmat in group_mats:
-            span.add(gmat.apply(vec))
-    return span.dim == m.dim
-
-
-def _all_group_elements(m):
-    """Matrices of all |G| group elements (products of generator powers)."""
-    p = m.p
-    mats = [Mat.identity(p, m.dim)]
-    for g in m.group.generators:
-        A = m.action[g]
-        powers = [Mat.identity(p, m.dim)]
-        for _ in range(p - 1):
-            powers.append(powers[-1] * A)
-        mats = [Mg * Ak for Mg in mats for Ak in powers]
-    return mats
+    return (m.dim - sp.dim) * m.group.order == m.dim
 
 
 # path -> (reason when guaranteed, reason when not)

@@ -199,12 +199,12 @@ def clifford_quaternion_pair(inv_alg):
         raise ExtractionError(
             "skew space has no 3-dimensional Lie ideal (nontrivial discriminant?)"
         )
-    # centralizer of L+ inside the skew space
+    # centralizer of L+ inside the skew space: per l, the brackets [b, l]
+    # are the columns of 16 rows of the system
     rows = []
     Lbasis = lie_plus.basis_rows()
     for l in Lbasis:
-        for idx in range(16):
-            rows.append([bracket(tuple(b), tuple(l))[idx] for b in skew])
+        rows.extend(zip(*(bracket(tuple(b), tuple(l)) for b in skew)))
     skew_cols = Mat(p, skew).T
     lie_minus = KSpan(p)
     for combo in Mat(p, rows).nullspace():

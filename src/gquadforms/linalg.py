@@ -6,10 +6,9 @@ Two representations coexist:
 * `Mat` — list-of-tuples of RatFunc entries; fully general, used for all
   solves up to a few dozen rows and for anything with denominators.
 * `PolyMat` — an int64 ndarray of coefficient slices (D, rows, cols) for
-  matrices with polynomial entries; products run through float64 BLAS
-  while their sums stay below 2^53 (int64 or Python integers above) and
-  are reduced mod p afterwards.  This is what makes the 64-dimensional
-  tensor computations cheap.
+  matrices with polynomial entries, p < 2^63.  `PolyMat.from_mat` is the
+  one Mat-to-coefficients converter (`coefficient_stack` stacks what it
+  returns).
 
 `Mat.apply` is the one matrix-vector product (M v as a tuple) and
 `combination` the one linear combination of matrices (the sum of M c over
@@ -25,11 +24,17 @@ once and keeps its int64 residues (or "not constant"), and the Mats
 `rref_mats` builds from residues (the int64 output of `span_products` and
 of the constant commutant) carry them from the start.  `int64_stack`
 stacks these memos after its range gate, n (p - 1)^2 < 2^63 for n
-columns, and `coefficient_stack` reads them for constant matrices.
+columns, and `PolyMat.from_mat` reads them for constant matrices.
+
+One exactness rule for polynomial matrices: `poly_einsum` on arrays of
+`exact_dtype(p, terms)`, int64 while every entry it sums, terms products
+of residues plus one residue, stays below 2^63 ((terms + 1)(p - 1)^2 <
+2^63) and Python integers (object dtype) beyond.  `PolyMat` products and
+Kronecker products, the batched charpoly and the radical chain's cut
+values all run on it.
 
 One charpoly: `charpoly_coeffs` is a batched, division-free Berkowitz over
-F_p[t] (correct in characteristic p), in int64 while (n + 1)(p - 1)^2 <
-2^63 and in Python integers beyond.  The radical chain's cut values and
+F_p[t] (correct in characteristic p).  The radical chain's cut values and
 `Mat.charpoly` (on the denominator-cleared matrix) both run through it.
 
 Symmetric diagonalization is congruence elimination over the field: each
@@ -396,32 +401,43 @@ class KSpan:
 
 
 class PolyMat:
-    """Matrix over F_p[t] as an int64 array of coefficient slices (D, n, m)."""
+    """Matrix over F_p[t] as an int64 array of coefficient slices (D, n, m),
+    for p < 2^63 (a residue fits in int64; a larger p is refused here with
+    a ValueError).
+
+    One exactness rule: a product and a Kronecker product are each one
+    `poly_einsum`, on arrays of `exact_dtype(p, terms)`, terms the inner
+    dimension of a product and 1 for a Kronecker product; sums and traces
+    stay in int64 only where `exact_dtype` allows as well.
+    """
 
     __slots__ = ("p", "arr")
 
     def __init__(self, p, arr):
-        self.p = p
-        a = np.asarray(arr, dtype=np.int64) % p
+        if p >= 2**63:
+            raise ValueError(f"polynomial matrices hold residues in int64: p < 2^63 is needed, not p = {p}")
+        a = np.asarray(arr)
         if a.ndim != 3:
             raise ValueError("PolyMat wants a (degree, rows, cols) array")
-        self.arr = _trim(a)
+        self.p = p
+        self.arr = _trim((a % p).astype(np.int64, copy=False))
 
     @classmethod
     def from_mat(cls, M):
-        """Exact conversion; every entry must be a polynomial."""
-        deg = 0
-        for r in M.rows:
-            for e in r:
-                if not e.is_polynomial():
-                    raise ValueError("PolyMat.from_mat needs polynomial entries")
-                deg = max(deg, max(e.num.degree, 0))
-        arr = np.zeros((deg + 1, M.nrows, M.ncols), dtype=np.int64)
-        for i, r in enumerate(M.rows):
-            for j, e in enumerate(r):
-                for d, c in enumerate(e.num.coeffs):
-                    arr[d, i, j] = c
-        return cls(M.p, arr)
+        """Exact conversion; every entry must be a polynomial.  A constant Mat
+        gives its `residues`."""
+        R = M.residues()
+        if R is not None:
+            return cls(M.p, R[None])
+        entries = M.flatten()
+        if not all(e.is_polynomial() for e in entries):
+            raise ValueError("PolyMat.from_mat needs polynomial entries")
+        # object dtype: the coefficients reach __init__'s range check unconverted
+        D = max(len(e.num.coeffs) for e in entries)
+        arr = np.zeros((D, len(entries)), dtype=object)
+        for k, e in enumerate(entries):
+            arr[: len(e.num.coeffs), k] = e.num.coeffs
+        return cls(M.p, arr.reshape(D, M.nrows, M.ncols))
 
     def to_mat(self):
         """Exact conversion to a Mat whose entries are shared immutable RatFuncs.
@@ -458,27 +474,18 @@ class PolyMat:
         return self.arr.shape[0] - 1
 
     def __eq__(self, other):
-        if not isinstance(other, PolyMat) or self.p != other.p:
-            return False
-        a, b = self.arr, other.arr
-        D = max(a.shape[0], b.shape[0])
-        if a.shape[1:] != b.shape[1:]:
-            return False
-        ap = np.zeros((D,) + a.shape[1:], dtype=np.int64)
-        bp = np.zeros((D,) + b.shape[1:], dtype=np.int64)
-        ap[: a.shape[0]] = a
-        bp[: b.shape[0]] = b
-        return bool(np.array_equal(ap, bp))
+        # __init__ trims trailing zero degrees, so equal matrices have equal arrays
+        return isinstance(other, PolyMat) and self.p == other.p and np.array_equal(self.arr, other.arr)
 
     def is_zero(self):
         return not self.arr.any()
 
     def __add__(self, other):
         D = max(self.arr.shape[0], other.arr.shape[0])
-        out = np.zeros((D,) + self.arr.shape[1:], dtype=np.int64)
+        out = np.zeros((D,) + self.shape, dtype=exact_dtype(self.p, 1))
         out[: self.arr.shape[0]] += self.arr
         out[: other.arr.shape[0]] += other.arr
-        return PolyMat(self.p, out % self.p)
+        return PolyMat(self.p, out)
 
     def __neg__(self):
         return PolyMat(self.p, (-self.arr) % self.p)
@@ -487,64 +494,32 @@ class PolyMat:
         return self + (-other)
 
     def __mul__(self, other):
-        """Matrix product, one `@` per pair of degree slices, always exact.
-
-        Each slice product sums kk terms below (p-1)^2: float64 BLAS while
-        that stays below 2^53, int64 while it stays below 2^63, and Python
-        integers (object dtype) beyond.
-        """
-        if isinstance(other, PolyMat):
-            p = self.p
-            Da, Db = self.arr.shape[0], other.arr.shape[0]
-            n, kk = self.shape
-            k2, m = other.shape
-            if kk != k2:
-                raise ValueError("PolyMat dimension mismatch")
-            bound = kk * (p - 1) ** 2
-            dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-            A = self.arr.astype(dtype)
-            B = other.arr.astype(dtype)
-            out = np.zeros((Da + Db - 1, n, m), dtype=np.int64)
-            for i in range(Da):
-                Ai = A[i]
-                if not Ai.any():
-                    continue
-                for j in range(Db):
-                    Bj = B[j]
-                    if not Bj.any():
-                        continue
-                    prod = Ai @ Bj
-                    if dtype is not np.float64:
-                        prod = prod % p
-                    out[i + j] = (out[i + j] + prod.astype(np.int64)) % p
-            return PolyMat(p, out)
-        raise TypeError("PolyMat * expects PolyMat")
+        if not isinstance(other, PolyMat):
+            raise TypeError("PolyMat * expects PolyMat")
+        (n, k), (k2, m) = self.shape, other.shape
+        if k != k2:
+            raise ValueError("PolyMat dimension mismatch")
+        return self._einsum("xik,ykj->ijxy", other, k, n, m)
 
     @property
     def T(self):
         return PolyMat(self.p, np.swapaxes(self.arr, 1, 2))
 
     def kron(self, other):
-        p = self.p
-        A, B = self.arr, other.arr
-        if (p - 1) ** 2 >= 2**63:  # entry products would overflow int64
-            A, B = A.astype(object), B.astype(object)
-        Da, Db = A.shape[0], B.shape[0]
-        n, m = self.shape
-        r, c = other.shape
-        out = np.zeros((Da + Db - 1, n * r, m * c), dtype=np.int64)
-        for i in range(Da):
-            if not A[i].any():
-                continue
-            for j in range(Db):
-                if not B[j].any():
-                    continue
-                out[i + j] = (out[i + j] + np.kron(A[i], B[j]) % p) % p
-        return PolyMat(p, out)
+        (n, m), (r, c) = self.shape, other.shape
+        return self._einsum("xij,ykl->ikjlxy", other, 1, n * r, m * c)
+
+    def _einsum(self, spec, other, terms, rows, cols):
+        """`poly_einsum(spec)` of the two coefficient arrays in
+        `exact_dtype(p, terms)`, as a rows x cols PolyMat."""
+        dtype = exact_dtype(self.p, terms)
+        out = poly_einsum(self.p, spec, self.arr.astype(dtype), other.arr.astype(dtype))
+        return PolyMat(self.p, np.moveaxis(out.reshape(rows, cols, -1), -1, 0))
 
     def trace(self):
-        D = self.arr.shape[0]
-        return Poly(self.p, [int(np.trace(self.arr[d]) % self.p) for d in range(D)])
+        n = self.shape[0]
+        diag = np.trace(self.arr.astype(exact_dtype(self.p, n)), axis1=1, axis2=2) % self.p
+        return Poly(self.p, diag.tolist())
 
     def __pow__(self, e):
         result = PolyMat.identity(self.p, self.shape[0])
@@ -575,12 +550,9 @@ def _trim(a):
 
 def coefficient_stack(mats):
     """Polynomial-entry Mats of one shape as an int64 array (len, rows,
-    cols, D): entry [k, i, j, d] is the t^d coefficient of mats[k][i, j].
-    A constant Mat contributes its `residues`."""
-    arrs = []
-    for M in mats:
-        R = M.residues()
-        arrs.append(PolyMat.from_mat(M).arr if R is None else R[None])
+    cols, D): entry [k, i, j, d] is the t^d coefficient of mats[k][i, j],
+    converted by `PolyMat.from_mat`."""
+    arrs = [PolyMat.from_mat(M).arr for M in mats]
     out = np.zeros((len(arrs),) + arrs[0].shape[1:] + (max(a.shape[0] for a in arrs),), dtype=np.int64)
     for k, a in enumerate(arrs):
         out[k, ..., : a.shape[0]] = np.moveaxis(a, 0, -1)

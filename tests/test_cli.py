@@ -226,6 +226,16 @@ def test_hp_check_at_prime_beyond_int64(tmp_path, capsys):
     assert (data["evidence"]["dim_end"], data["evidence"]["dim_radical"]) == (5, 3)
 
 
+def test_hp_check_beyond_the_polynomial_matrix_range_is_an_input_error(tmp_path, capsys):
+    # p = 2^64 + 13 is prime, but a residue mod p does not fit in int64
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps({"p": 2**64 + 13, "dim": 2, "generators": ["g"],
+                               "action": {"g": [["1", "1"], ["0", "1"]]}}))
+    code, out, err = run(capsys, "hp-check", str(mod))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "p < 2^63" in err
+
+
 def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
     import gquadforms.cli as cli
 

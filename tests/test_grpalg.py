@@ -110,21 +110,26 @@ def _power_test_cases(p, rng):
 
 
 @pytest.mark.parametrize("p", [3, 5, 2**31 - 1])
-def test_check_module_power_test_agrees_with_pth_power(monkeypatch, p):
-    # (g - I)^min(p, n) = 0 decides g^p = I on both the PolyMat and the Mat route
+def test_check_module_power_test_agrees_with_pth_power(p):
+    # (g - I)^min(p, n) = 0 decides g^p = I on polynomial actions and, after
+    # a base change S = I + E_{n-1,0}/t, on actions with denominators
     cases = _power_test_cases(p, random.Random(p))
     assert {want for _, want in cases} == {True, False}
 
-    def verdicts():
+    def verdicts(cases):
         return [check_module(GModule(GroupSpec(p, ["g"]), {"g": M})).valid for M, _ in cases]
 
-    assert verdicts() == [want for _, want in cases]
+    assert verdicts(cases) == [want for _, want in cases]
 
-    def no_poly_action(self):
-        raise ValueError("forced Mat route")
-
-    monkeypatch.setattr(GModule, "poly_action", no_poly_action)
-    assert verdicts() == [want for _, want in cases]
+    inv_t = RatFunc(Poly.one(p), Poly.t(p))
+    conjugated = []
+    for M, want in cases:
+        n = M.nrows
+        N = Mat(p, [[inv_t if (i, j) == (n - 1, 0) else RatFunc.zero(p) for j in range(n)] for i in range(n)])
+        ident = Mat.identity(p, n)
+        conjugated.append(((ident - N) * M * (ident + N), want))  # S^-1 M S, as N^2 = 0
+    assert any(not e.is_polynomial() for M, _ in conjugated for e in M.flatten())
+    assert verdicts(conjugated) == [want for _, want in cases]
 
 
 # ---------------------------------------------------------------------
@@ -573,7 +578,8 @@ def test_hp_verdict_invariant_under_base_change(bundle1):
 
 def test_non_polynomial_action_takes_the_mat_route(bundle1):
     # a base change with a 1/t entry puts denominators into the action and
-    # the Gram, so check_module and induced_involution fall back to Mat
+    # the Gram, so induced_involution falls back to Mat and check_module
+    # clears the denominators of the displacements g - I
     m, form = bundle1.module, bundle1.form
     inv_t = RatFunc(Poly.one(P), Poly.t(P))
     S = Mat.identity(P, 8) + Mat(P, [[inv_t if (i, j) == (4, 0) else RatFunc.zero(P) for j in range(8)]

@@ -187,17 +187,43 @@ def _exact_product(X, Y):
     return out % X.p
 
 
+# exact_dtype(p, 64) of the product / exact_dtype(p, 1) of the Kronecker
+# product: int64/int64 up to 376,693,549, where 65 (p - 1)^2 < 2^63 still
+# holds; object/int64 from 376,693,573 to 2^31 - 1; object/object from
+# 2,147,483,659, where 2 (p - 1)^2 >= 2^63
 @pytest.mark.parametrize(
-    "p", [P, 100_000_007, BIG, 2**61 - 1]  # float64, int64, object, object
+    "p", [P, 100_000_007, 376_693_549, 376_693_573, BIG, 2_147_483_659, 2**61 - 1]
 )
 def test_polymat_mul_and_kron_exact_at_any_prime(p):
     rng = np.random.default_rng(p % 1000)
     n = 64
-    X = PolyMat(p, rng.integers(0, p, (2, n, n), dtype=np.int64))
-    Y = PolyMat(p, rng.integers(0, p, (2, n, n), dtype=np.int64))
+    A, B = rng.integers(0, p, (2, 2, n, n), dtype=np.int64)
+    A[:, 0, :] = B[:, :, 0] = p - 1  # entry (0, 0) of each slice product at its largest
+    X, Y = PolyMat(p, A), PolyMat(p, B)
     assert np.array_equal((X * Y).arr, _exact_product(X, Y).astype(np.int64))
     x, y = PolyMat(p, X.arr[:, :3, :2]), PolyMat(p, Y.arr[:, :2, :3])
     assert x.kron(y).to_mat() == x.to_mat().kron(y.to_mat())  # RatFunc oracle
+
+
+def test_polymat_exact_below_2_63_and_refused_beyond():
+    p = 2**63 - 25  # the largest prime below 2^63: a sum of two residues overflows int64
+    rng = random.Random(7)
+
+    def mat():
+        return Mat(p, [[RatFunc(Poly(p, [rng.randrange(p - 3, p) for _ in range(2)])) for _ in range(3)]
+                       for _ in range(3)])
+
+    X, Y = mat(), mat()
+    PX, PY = PolyMat.from_mat(X), PolyMat.from_mat(Y)
+    assert (PX + PY).to_mat() == X + Y
+    assert (PX - PY).to_mat() == X - Y
+    assert (PX * PY).to_mat() == X * Y
+    assert PX.kron(PY).to_mat() == X.kron(Y)
+    assert PX.trace() == X.trace().num
+    q = 2**64 + 13
+    for build in (lambda: PolyMat.identity(q, 2), lambda: PolyMat.from_mat(Mat.from_int_rows(q, [[1, 1], [0, 1]]))):
+        with pytest.raises(ValueError, match=r"p < 2\^63"):
+            build()
 
 
 def test_polymat_rejects_denominators():
