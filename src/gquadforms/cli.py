@@ -140,8 +140,7 @@ def cmd_hp_check(args):
     if m.dim > 32 and not m.is_constant():
         raise InputError(
             "hp-check handles modules of dimension <= 32 unless the entries are "
-            "F_p constants and dim (p-1)^2 < 2^63; use the counterexample "
-            "pipeline for the tensor case"
+            "F_p constants; use the counterexample pipeline for the tensor case"
         )
     verdict = hp_verdict(m, form)
     _emit(verdict, args)

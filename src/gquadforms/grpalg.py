@@ -19,20 +19,16 @@ carries, so a bug here cannot silently corrupt downstream verdicts.
 
 The chain's cut values run in one domain: its matrices are cleared of
 denominators and their charpolys come from `linalg.charpoly_coeffs` over
-F_p[t].  Every other batch of matrix work runs in one of two domains,
-chosen per call from the matrices themselves: int64 numpy mod p when
-`linalg.int64_stack` accepts them (F_p-constant entries and
-n (p - 1)^2 < 2^63 for n x n matrices: a constant module, its commutant
-and radical), exact `Mat`/`KSpan` arithmetic over F_p(t) otherwise.  Constancy is decided once per matrix
-(`Mat.residues`), and every Mat the int64 paths build carries its
-residues, so a constant algebra stays in int64 arrays from the commutant
-through the chain to the certificate.  The fork sits in three places:
+F_p[t].  Every other batch of matrix work follows the one exactness rule
+of the `linalg` module docstring: a constant module, its commutant and
+radical stay in numpy residue arrays from the commutant through the chain
+to the certificate, other matrices run in exact `Mat`/`KSpan` arithmetic
+over F_p(t).  The fork sits in three places:
 `linalg.span_products` for RREF bases, closure, structure constants and
 the certificate's ideal and nilpotency checks; `endomorphism_algebra`,
 which solves for the commutant with `_commutant_constant` (mod p
 nullspace) or `commutant_of_matrices` (exact solve); and the chain's
-combination step, one int64 product while N (p - 1)^2 < 2^63 for N chain
-elements.  Both domains give identical results.
+combination step.  Both domains give identical results.
 
 The semisimple quotient E/R is built in one place: `certify_radical`
 constructs it to certify the radical and returns it in the
@@ -74,6 +70,7 @@ from .linalg import (
     exact_dtype,
     int64_stack,
     matrix_units,
+    modp_einsum,
     modp_nullspace,
     poly_einsum,
     rref_mats,
@@ -150,8 +147,8 @@ class GModule:
         return self._poly_action
 
     def is_constant(self):
-        """Every action entry is an F_p constant within the int64 mod-p range."""
-        return int64_stack(self.p, list(self.action.values())) is not None
+        """Every action entry is an F_p constant (`Mat.residues`)."""
+        return all(M.residues() is not None for M in self.action.values())
 
     def tensor(self, other):
         """External tensor product over the product group."""
@@ -232,9 +229,9 @@ class EndAlgebra:
 
     def algebra(self):
         """Structure-constant view, built once through `span_products`:
-        int64 mod p for a constant algebra (dim E up to a few hundred at
-        small n), exact RatFunc arithmetic otherwise (intended for
-        dim <= ~30)."""
+        numpy residues mod p for a constant algebra (dim E up to a few
+        hundred at small n), exact RatFunc arithmetic otherwise (intended
+        for dim <= ~30)."""
         if self._algebra is None:
             self._algebra = Algebra.from_matrices(self.p, self.basis)
             self.basis = self._algebra.matrices
@@ -281,9 +278,9 @@ def endomorphism_algebra(m):
 
 
 def _commutant_constant(p, n, actions):
-    """numpy fast path: constant actions (an `int64_stack`) give an
-    F_p-defined solution space, returned as its RREF basis of Mats that
-    carry their residues."""
+    """numpy path: constant actions (an `int64_stack`) give an F_p-defined
+    solution space, returned as its RREF basis of Mats that carry their
+    residues.  The system holds residues and their negatives, so int64."""
     ident = np.eye(n, dtype=np.int64)
     blocks = []
     for A in actions:
@@ -441,13 +438,13 @@ def _radical_chain(p, n, mats):
 
     One domain for the cut values: each level clears the denominators of J
     (a nonzero scalar per element leaves the span alone), so they are
-    polynomials from `linalg.charpoly_coeffs` over F_p[t], in int64 while
-    (n + 1)(p - 1)^2 < 2^63 and in Python integers beyond, and the solve
-    and the combination both run on the cleared matrices.  A constant J
-    (one `int64_stack`, n (p - 1)^2 < 2^63) needs no clearing, and when
-    its solutions C are F_p-constant too and N (p - 1)^2 < 2^63, N = len(J),
-    the combination and its RREF are one exact int64 product C S mod p and
-    `modp_rref`, so a constant chain never leaves int64.
+    polynomials from `linalg.charpoly_coeffs` over F_p[t], and the solve and
+    the combination both run on the cleared matrices.  A constant J (one
+    `int64_stack`) needs no clearing, and when its solutions C are
+    F_p-constant too, the combination and its RREF are one product C S mod
+    p (`modp_einsum`, N = len(J) terms) and `modp_rref`, so a constant chain
+    never leaves numpy residues.  Every width follows the `linalg` module
+    docstring's rule.
     """
     J = list(mats)
     q = 1
@@ -456,12 +453,11 @@ def _radical_chain(p, n, mats):
         if S is None:
             J = [M.clear_denominators() for M in J]
         combos = _semilinear_nullspace(p, _cut_values(p, n, q, J), q)
-        exact_sums = S is not None and len(J) * (p - 1) ** 2 < 2**63
-        C = Mat(p, combos).residues() if combos and exact_sums else None
+        C = Mat(p, combos).residues() if combos and S is not None else None
         if C is None:
             J = span_products(p, [combination(combo, J) for combo in combos])
         else:
-            J = rref_mats(p, C @ S.reshape(len(J), -1) % p, n, n)
+            J = rref_mats(p, modp_einsum(p, "ij,jk->ik", C, S.reshape(len(J), -1), len(J)), n, n)
         q *= p
         if q > n:
             break
@@ -505,9 +501,9 @@ def certify_radical(E, rad_basis):
     Checks: independent; two-sided ideal; nilpotent with index <= dim (by
     powering the ideal span); the quotient is semisimple (its radical
     recomputes to 0), of dim E - dim R by independence.  The first three
-    run as `span_products` batches, in int64 for constant algebras.  Raises
-    CertificateError naming the failed check and its first failing input
-    in row-major order.
+    run as `span_products` batches, on numpy residues for constant
+    algebras.  Raises CertificateError naming the failed check and its
+    first failing input in row-major order.
     """
     p, basis, rad = E.p, E.basis, list(rad_basis)
     if len(span_products(p, rad)) != len(rad):

@@ -24,6 +24,7 @@ from .algebra import InvolutionAlgebra, algebra_from_span
 from .errors import CertificateError, ExtractionError, InputError
 from .funcfield import (
     RatFunc,
+    denominator_lcm,
     is_local_square,
     sqrt_of_square,
     square_class,
@@ -63,14 +64,19 @@ def induced_involution(module, form):
     if form.rank != module.dim:
         raise InputError("form rank does not match the module dimension")
     A = form.gram if isinstance(form, QuadForm) else form
-    # polynomial arithmetic when every entry is a polynomial, exact Mat otherwise
-    try:
-        acts = {g: PolyMat.from_mat(M) for g, M in module.action.items()}
-        gram = PolyMat.from_mat(A)
-    except ValueError:
-        acts, gram = module.action, A
-    for g, M in acts.items():
-        if M.T * gram * M != gram:
+    # on denominator-cleared PolyMats, as check_module: with A' = c_A A and
+    # c_M the lcm of M's denominators, M^T A M = A iff
+    # (c_M M)^T A' (c_M M) = c_M^2 A'
+    cleared = A.clear_denominators()
+    gram = PolyMat.from_mat(cleared)
+    for g, M in module.action.items():
+        lcm = denominator_lcm(M.flatten())
+        if lcm.is_one():
+            act, rhs = PolyMat.from_mat(M), gram
+        else:
+            c = RatFunc(lcm)
+            act, rhs = PolyMat.from_mat(M * c), PolyMat.from_mat(cleared * (c * c))
+        if act.T * gram * act != rhs:
             raise InputError(f"form is not G-invariant at generator {g}")
     return InducedInvolution(module, A)
 

@@ -15,23 +15,22 @@ Two representations coexist:
 the nonzero c); every coordinate map in the library goes through them.
 
 `span_products` is the one batched kernel for RREF bases of matrix lists
-and for the coordinates of matrix products in a span: int64 mod p when
-every matrix is F_p-constant within its stated range, exact `Mat`/`KSpan`
-arithmetic otherwise, with the same answer either way.
+and for the coordinates of matrix products in a span, with the same answer
+in either domain of the rule below.
 
-Constancy is decided once per matrix: `Mat.residues` scans a Mat at most
-once and keeps its int64 residues (or "not constant"), and the Mats
-`rref_mats` builds from residues (the int64 output of `span_products` and
-of the constant commutant) carry them from the start.  `int64_stack`
-stacks these memos after its range gate, n (p - 1)^2 < 2^63 for n
-columns, and `PolyMat.from_mat` reads them for constant matrices.
-
-One exactness rule for polynomial matrices: `poly_einsum` on arrays of
-`exact_dtype(p, terms)`, int64 while every entry it sums, terms products
-of residues plus one residue, stays below 2^63 ((terms + 1)(p - 1)^2 <
-2^63) and Python integers (object dtype) beyond.  `PolyMat` products and
-Kronecker products, the batched charpoly and the radical chain's cut
-values all run on it.
+One exactness rule: constancy picks the domain, `exact_dtype(p, terms)`
+the integer width.
+* F_p-constant matrices run on numpy residues mod p, all others in exact
+  `Mat`/`KSpan` arithmetic.  `Mat.residues` decides constancy once per
+  matrix and keeps its int64 residues (p < 2^63); the Mats `rref_mats`
+  builds carry them from the start, `int64_stack` stacks them and
+  `PolyMat.from_mat` reads them.
+* A numpy sum of `terms` products of residues runs in
+  `exact_dtype(p, terms)`: int64 while (terms + 1)(p - 1)^2 < 2^63,
+  Python integers (object dtype) beyond.  `poly_einsum` serves `PolyMat`
+  products and Kronecker products, the batched charpoly and the chain's
+  cut values, `modp_einsum` the products of constant matrices, and
+  `modp_rref` eliminates with terms = 1.
 
 One charpoly: `charpoly_coeffs` is a batched, division-free Berkowitz over
 F_p[t] (correct in characteristic p).  The radical chain's cut values and
@@ -627,33 +626,33 @@ def charpoly_coeffs(p, Z):
 
 def int64_stack(p, mats):
     """The `Mat.residues` of `mats` as one (len, rows, cols) int64 array, or
-    None.
-
-    None unless int64 arithmetic mod p is exact at this size (a dot product
-    of n residues, n (p-1)^2 with n the column count, must stay below 2^63;
-    checked first, so no residue array is built beyond it) and every matrix
-    is F_p-constant.  The int64 paths of `span_products`, of the constant
-    commutant and of the radical chain run only on what this returns.
+    None when `mats` is empty or some matrix is not F_p-constant.  The numpy
+    paths of `span_products`, of the constant commutant and of the radical
+    chain run only on what this returns.
     """
-    n = max((M.ncols for M in mats), default=1)
-    if n * (p - 1) ** 2 >= 2**63:
-        return None
     stack = [M.residues() for M in mats]
-    if any(R is None for R in stack):
+    if not stack or any(R is None for R in stack):
         return None
     return np.array(stack, dtype=np.int64)
+
+
+def modp_einsum(p, spec, a, b, terms):
+    """np.einsum(spec, a, b) mod p as int64 residues, for residue arrays a
+    and b and a `spec` that sums `terms` products per output entry: exact,
+    since the sums run in `exact_dtype(p, terms)`."""
+    dtype = exact_dtype(p, terms)
+    out = np.einsum(spec, a.astype(dtype, copy=False), b.astype(dtype, copy=False)) % p
+    return out.astype(np.int64, copy=False)
 
 
 def modp_rref(A, p):
     """RREF of an int matrix mod p; returns (R, pivot_cols). In-place safe.
 
-    Exact in int64 while (p-1)^2 < 2^63 (p up to about 3.04e9): each
-    elimination step multiplies two residues before reducing.  Raises
-    ValueError for a larger p.
+    Each elimination step multiplies two residues before reducing, so it
+    runs in `exact_dtype(p, 1)`: int64 while 2 (p-1)^2 < 2^63, Python
+    integers beyond.  R has that dtype.
     """
-    if (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"modp_rref is exact in int64 only while (p-1)^2 < 2^63, not at p = {p}")
-    M = np.array(A, dtype=np.int64) % p
+    M = np.array(A, dtype=exact_dtype(p, 1)) % p
     nr, nc = M.shape
     pivots = []
     r = 0
@@ -688,32 +687,29 @@ def span_products(p, xs, ys=None, basis=None):
     basis given: per product, the tuple of its coordinates in the RREF
     basis of span(basis), or None where it lies outside.  The coordinates
     are the product's entries at the pivot columns; an exact residual
-    check (product minus coordinates times basis) decides membership.
+    check (coordinates times basis against the product) decides
+    membership.
 
-    Domains: int64 numpy when `int64_stack` accepts every matrix (the
-    n-term dot products of X Y stay below 2^63) and, with a basis,
-    r (p-1)^2 < 2^63 for r = len(basis), since the coordinates-times-basis
-    product sums r terms; `modp_rref` needs only (p-1)^2 < 2^63, which both
-    imply.  Exact Mat and KSpan arithmetic otherwise.  Both domains give
-    the same answer.
+    Domains (the module docstring's rule): numpy mod p when `int64_stack`
+    accepts every group of matrices, with X Y summing n terms for n the
+    inner dimension and the coordinates-times-basis product r terms for
+    r the rank of the basis; exact Mat and KSpan arithmetic otherwise.
+    Both domains give the same answer.
     """
     xs = list(xs)
     groups = [xs] + [list(g) for g in (ys, basis) if g is not None]
-    if not xs or not all(groups):
-        return _span_products_exact(p, xs, ys, basis)
     stacks = [int64_stack(p, g) for g in groups]
-    if any(s is None for s in stacks) or (
-        basis is not None and len(basis) * (p - 1) ** 2 >= 2**63
-    ):
+    if any(s is None for s in stacks):
         return _span_products_exact(p, xs, ys, basis)
-    Z = stacks[0] if ys is None else np.einsum("aij,bjk->abik", stacks[0], stacks[1]) % p
+    X = stacks[0]
+    Z = X if ys is None else modp_einsum(p, "aij,bjk->abik", X, stacks[1], X.shape[-1])
     n, m = Z.shape[-2:]
     Z = Z.reshape(-1, n * m)
     if basis is None:
         return rref_mats(p, Z, n, m)
     B, pivots = modp_rref(stacks[-1].reshape(len(basis), -1), p)
     C = Z[:, pivots]
-    inside = ~((Z - C @ B) % p).any(axis=1)
+    inside = (modp_einsum(p, "ij,jk->ik", C, B, len(pivots)) == Z).all(axis=1)
     coords = _int_ratfuncs(p, C)
     return [tuple(c) if ok else None for c, ok in zip(coords, inside.tolist())]
 
@@ -753,7 +749,7 @@ def _int_ratfuncs(p, arr):
 def rref_mats(p, Z, n, m):
     """The RREF basis of the row space of the int array Z mod p, as n x m
     Mats (row-major flatten) that carry their residues."""
-    R, _ = modp_rref(Z, p)
+    R = modp_rref(Z, p)[0].astype(np.int64, copy=False)
     mats = _mats(p, _int_ratfuncs(p, R), n, m)
     for M, r in zip(mats, R):
         M._residues = r.reshape(n, m)
@@ -766,11 +762,11 @@ def _mats(p, rows, n, m):
 
 
 def modp_nullspace(A, p):
-    """Basis rows of the right nullspace of A mod p."""
+    """Basis rows of the right nullspace of A mod p, in `modp_rref`'s dtype."""
     R, pivots = modp_rref(A, p)
     nc = A.shape[1]
     free = [c for c in range(nc) if c not in set(pivots)]
-    out = np.zeros((len(free), nc), dtype=np.int64)
+    out = np.zeros((len(free), nc), dtype=R.dtype)
     for idx, fc in enumerate(free):
         out[idx, fc] = 1
         for r, pc in enumerate(pivots):

@@ -24,7 +24,8 @@ from gquadforms.grpalg import (
     quotient_with_involution,
 )
 from gquadforms.jsonio import dump_json
-from gquadforms.linalg import KSpan, Mat, int64_stack, matrix_units, modp_rref, span_products
+from gquadforms.hermitian import induced_involution
+from gquadforms.linalg import KSpan, Mat, exact_dtype, int64_stack, matrix_units, modp_rref, span_products
 from gquadforms.quadform import QuadForm
 
 P = 3
@@ -578,8 +579,8 @@ def test_hp_verdict_invariant_under_base_change(bundle1):
 
 def test_non_polynomial_action_takes_the_mat_route(bundle1):
     # a base change with a 1/t entry puts denominators into the action and
-    # the Gram, so induced_involution falls back to Mat and check_module
-    # clears the denominators of the displacements g - I
+    # the Gram: induced_involution clears those of each action and of the
+    # Gram, and check_module those of the displacements g - I
     m, form = bundle1.module, bundle1.form
     inv_t = RatFunc(Poly.one(P), Poly.t(P))
     S = Mat.identity(P, 8) + Mat(P, [[inv_t if (i, j) == (4, 0) else RatFunc.zero(P) for j in range(8)]
@@ -593,6 +594,36 @@ def test_non_polynomial_action_takes_the_mat_route(bundle1):
     assert with_form == hp_verdict(m, form)
     assert with_form["verdict"] == "guaranteed"
     assert (with_form["evidence"]["dim_end"], with_form["evidence"]["dim_radical"]) == (20, 16)
+
+
+def test_induced_involution_clears_denominators(monkeypatch, bundle1):
+    # the 1/t-conjugated module: invariance is decided on denominator-cleared
+    # PolyMats, with no Mat x Mat product, and agrees with M^T A M = A in Mat
+    m, form = bundle1.module, bundle1.form
+    zero, inv_t = RatFunc.zero(P), RatFunc(Poly.one(P), Poly.t(P))
+    S = Mat.identity(P, 8) + Mat(P, [[inv_t if (i, j) == (4, 0) else zero for j in range(8)] for i in range(8)])
+    conj = _conjugate(m, S)
+    gram = S.T * form.gram * S
+    perturbed = gram + Mat(P, [[RatFunc.t(P) if (i, j) == (0, 0) else zero for j in range(8)] for i in range(8)])
+    assert any(not e.is_polynomial() for M in [gram, *conj.action.values()] for e in M.flatten())
+    bad = next(g for g, M in conj.action.items() if M.T * perturbed * M != perturbed)
+    good_form, bad_form = QuadForm(gram), QuadForm(perturbed)
+    products = []
+    real_mul = Mat.__mul__
+
+    def mul(self, other):
+        if isinstance(other, Mat):
+            products.append((self.nrows, other.ncols))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", mul)
+    with pytest.raises(InputError, match=f"^form is not G-invariant at generator {bad}$"):
+        induced_involution(conj, bad_form)
+    gamma = induced_involution(conj, good_form)
+    assert products == []
+    monkeypatch.undo()
+    assert gamma.gram == gram
+    assert all(M.T * gram * M == gram for M in conj.action.values())
 
 
 def _random_constant_algebras(seed=12, trials=12):
@@ -769,16 +800,23 @@ def test_commutant_and_radical_exact_at_any_prime(monkeypatch, p):
 
 
 def test_int64_range_is_enforced():
+    # constancy alone decides the stack; exact_dtype decides each sum's width
     p = 2**31 - 1
     one = Mat.from_int_rows(p, [[p - 1]])
     three = Mat.from_int_rows(p, [[p - 1] * 3] * 3)
-    assert int64_stack(p, [one]).tolist() == [[[p - 1]]]  # 1 * (p-1)^2 < 2^63
-    assert int64_stack(p, [three]) is None  # 3 * (p-1)^2 >= 2^63
+    assert int64_stack(p, [one]).tolist() == [[[p - 1]]]
+    assert int64_stack(p, [three]).tolist() == [[[p - 1] * 3] * 3]
+    assert exact_dtype(p, 3) is object  # 4 (p-1)^2 >= 2^63: its products sum in Python integers
     assert int64_stack(P, [Mat(P, [[RatFunc.t(P)]])]) is None
-    R, piv = modp_rref(np.array([[p - 1, 1]]), p)  # (p-1)^2 < 2^63: exact
-    assert R.tolist() == [[1, p - 1]] and piv == [0]
-    with pytest.raises(ValueError):
-        modp_rref(np.array([[1, 1]]), 2**61 - 1)
+    R, piv = modp_rref(np.array([[p - 1, 1]]), p)  # 2 (p-1)^2 < 2^63: exact in int64
+    assert R.dtype == np.int64 and R.tolist() == [[1, p - 1]] and piv == [0]
+    # 2 (p-1)^2 >= 2^63: exact in Python integers, where int64 would wrap
+    huge = 2**61 - 1
+    rows = [[huge - 1, 1, 5], [3, huge - 2, 2**60]]
+    R, piv = modp_rref(np.array(rows), huge)
+    exact, exact_piv = Mat.from_int_rows(huge, rows).rref()
+    assert R.dtype == object and piv == list(exact_piv) == [0, 1]
+    assert [[RatFunc.from_int(huge, x) for x in row] for row in R.tolist()] == [list(r) for r in exact.rows]
 
 
 def test_poly_roots_in_k_at_small_and_large_primes():
@@ -1122,10 +1160,11 @@ def test_span_products_exact_beyond_int64_coordinate_range(monkeypatch):
         "M_2": _conjugated(p, units),
         "upper-triangular": _conjugated(p, [units[0], units[1], units[3]]),
     }
-    # int64_stack accepts n = 2, yet a coordinates-times-basis product of
-    # r >= 3 rows can reach r (p-1)^2 >= 2^63
+    # int64_stack accepts these, yet a coordinates-times-basis product of
+    # r >= 3 rows can reach r (p-1)^2 >= 2^63, so exact_dtype sums it in
+    # Python integers
     assert all(int64_stack(p, mats) is not None for mats in algebras.values())
-    assert 3 * (p - 1) ** 2 >= 2**63
+    assert 3 * (p - 1) ** 2 >= 2**63 and exact_dtype(p, 3) is object
     # the span of these three has p - 1 in its free column, so the residual
     # of a member with coordinates near p - 1 sums three terms near (p - 1)^2
     subspace = [Mat.from_int_rows(p, [[int(k == 0), int(k == 1)], [int(k == 2), p - 1]]) for k in range(3)]
@@ -1159,7 +1198,8 @@ def test_span_products_exact_beyond_int64_coordinate_range(monkeypatch):
 
 def _chain_paths(monkeypatch):
     """Record the combination path of every chain level: 'int64' (one
-    residue product reduced by `rref_mats`) or 'exact' (`combination`)."""
+    residue product reduced by `rref_mats`, summed in `exact_dtype`'s
+    width) or 'exact' (`combination`)."""
     paths = []
     real_combination, real_rref_mats = grpalg.combination, grpalg.rref_mats
 
@@ -1193,11 +1233,12 @@ def _chain_cases(bundle1):
         # polynomial entries: the first level is exact, and its RREF output
         # is F_p-constant, so the q = 3 level runs in int64
         (P, "E_N", bundle1.end_algebra.basis, {"exact", "int64"}, True),
-        # N (p - 1)^2 < 2^63 for N = 2 chain elements at p = 2^31 - 1, not for N = 3
+        # at p = 2^31 - 1 the combination of N >= 2 chain elements sums in
+        # Python integers (exact_dtype), and the chain still stays on residues
         (big, "dual numbers", _conjugated(big, [Mat.identity(big, 2), units[1]]), {"int64"}, True),
-        (big, "upper-triangular", _conjugated(big, [units[0], units[1], units[3]]), {"exact"}, True),
-        # (p - 1)^2 >= 2^63: no int64 stack at all
-        (huge, "unipotent", endomorphism_algebra(_unipotent_module(huge)).basis, {"exact"}, True),
+        (big, "upper-triangular", _conjugated(big, [units[0], units[1], units[3]]), {"int64"}, True),
+        # (p - 1)^2 >= 2^63: every sum, modp_rref's too, runs in Python integers
+        (huge, "unipotent", endomorphism_algebra(_unipotent_module(huge)).basis, {"int64"}, True),
     ]
     return cases
 
@@ -1224,6 +1265,83 @@ def test_radical_chain_int64_and_exact_paths_agree(monkeypatch, bundle1):
     for f, e in zip(fast, exact):
         assert f[:3] == e[:3], f[0]
         assert e[3] <= {"exact"}, e[0]
+
+
+# ---------------------------------------------------------------------
+# constant matrices at any prime: residues, with exact_dtype's width
+# ---------------------------------------------------------------------
+
+# prime: the widths modp_einsum sums in on `_constant_kernel_outputs`, whose
+# sums have 4 terms (the 4 x 4 products) and 10 (the 10-dim algebra)
+_WIDTHS = {
+    3: {np.int64},
+    2**30 - 35: {np.int64, object},  # (terms + 1)(p - 1)^2 < 2^63 up to terms = 7
+    2**31 - 1: {object},
+    2**61 - 1: {object},
+}
+
+
+def _constant_kernel_outputs(p):
+    """span_products in its three forms, the radical chain and the constant
+    commutant, on seeded constant matrices over F_p."""
+    rng = random.Random(17)
+    xs = [Mat.from_int_rows(p, [[rng.randrange(p) for _ in range(4)] for _ in range(4)]) for _ in range(4)]
+    xs.append(xs[0] + xs[1] * RatFunc.from_int(p, p - 1))
+    ys = xs[2:]
+    units = matrix_units(p, 4)
+    upper = _conjugated(p, [units[4 * i + j] for i in range(4) for j in range(i, 4)])  # dim 10, radical dim 6
+    return {
+        "basis": span_products(p, xs),
+        "products": span_products(p, xs, ys),
+        "coordinates": span_products(p, upper[:3] + xs[:2], upper, basis=upper),
+        "radical": grpalg._radical_chain(p, 4, upper),
+        "commutant": endomorphism_algebra(_unipotent_module(p)).basis,
+    }
+
+
+@pytest.mark.parametrize("p", list(_WIDTHS))
+def test_constant_kernels_match_the_exact_domain(monkeypatch, p):
+    widths = []
+    real = linalg.modp_einsum
+
+    def modp_einsum(p, spec, a, b, terms):
+        widths.append(exact_dtype(p, terms))
+        return real(p, spec, a, b, terms)
+
+    monkeypatch.setattr(linalg, "modp_einsum", modp_einsum)
+    monkeypatch.setattr(grpalg, "modp_einsum", modp_einsum)
+    fast = _constant_kernel_outputs(p)
+    assert set(widths) == _WIDTHS[p]
+    assert exact_dtype(p, 1) is (object if p == 2**61 - 1 else np.int64)  # modp_rref's width
+    assert len(fast["basis"]) == 4 and len(fast["radical"]) == 6 and len(fast["commutant"]) == 5
+    coords = fast["coordinates"]
+    assert len(coords) == 50 and None not in coords[:30] and None in coords[30:]  # closed, and not for xs
+    del widths[:]
+    _exact_domain(monkeypatch)
+    assert _constant_kernel_outputs(p) == fast
+    assert widths == []
+
+
+def test_word_size_constant_modules_stay_on_residues(monkeypatch):
+    p = 2**31 - 1
+    modules = [_box_module(p, boxes, seed=i) for i, boxes in enumerate(_BOXES)]
+    exact_calls = []
+    real_commutant, real_span = grpalg.commutant_of_matrices, linalg._span_products_exact
+
+    def commutant(p, n, mats):
+        exact_calls.append("commutant_of_matrices")
+        return real_commutant(p, n, mats)
+
+    def span_exact(p, xs, ys, basis):
+        if xs and all(g for g in (ys, basis) if g is not None):
+            exact_calls.append("_span_products_exact")
+        return real_span(p, xs, ys, basis)
+
+    monkeypatch.setattr(grpalg, "commutant_of_matrices", commutant)
+    monkeypatch.setattr(linalg, "_span_products_exact", span_exact)
+    dims = [(out["evidence"]["dim_end"], out["evidence"]["dim_radical"]) for out in map(hp_verdict, modules)]
+    assert dims == [(24, 16), (20, 15), (8, 7)]
+    assert exact_calls == []
 
 
 # ---------------------------------------------------------------------

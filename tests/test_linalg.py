@@ -378,18 +378,13 @@ def test_residue_memo_decides_constancy_once(monkeypatch):
 def test_int64_gate_runs_before_any_residue_scan(monkeypatch):
     from gquadforms.linalg import int64_stack
 
-    p = 2**31 - 1
-    calls = _count_constancy_scans(monkeypatch)
-    # 3 (p-1)^2 >= 2^63: no int64 stack at n = 3, and nothing scanned for one
-    three = Mat(p, [[RatFunc.from_int(p, p - 1 - i - j) for j in range(3)] for i in range(3)])
-    assert int64_stack(p, [three]) is None and calls == []
-    # 2 (p-1)^2 < 2^63 still holds, so n = 2 is int64-exact at this p
-    two = Mat(p, [[RatFunc.from_int(p, p - 1)] * 2] * 2)
-    assert int64_stack(p, [two]).tolist() == [[[p - 1] * 2] * 2] and len(calls) == 4
-    # a prime above 2^63 (2^89 - 1): no residue fits in int64, and nothing overflows
+    # a prime above 2^63 (2^89 - 1): no residue fits in int64, and nothing
+    # overflows; the p < 2^63 gate of `Mat.residues` runs before any scan
     big = 2**89 - 1
     M = Mat.from_int_rows(big, [[big - 1, 1], [0, 2**70]])
     N = Mat(big, [[RatFunc.from_int(big, big - 1)]])
+    calls = _count_constancy_scans(monkeypatch)
     assert M.residues() is None and N.residues() is None
     assert int64_stack(big, [M]) is None and int64_stack(big, [N]) is None
+    assert calls == []
     assert M.rows[1][1] == RatFunc.from_int(big, 2**70)
