@@ -18,8 +18,8 @@ b = bundle(H)
 print(f"\nmodule dimension: {b.module.dim}")
 print(f"generator actions: {sorted(b.module.action)}")
 print(f"dim End(N) = {b.end_algebra.dim}, dim radical = {b.radical.dim}")
-print(f"quotient dimension: {b.quotient.algebra.dim} (the opposite quaternion)")
-print(f"quotient involution kind: {b.quotient.involution.kind()}")
+print(f"quotient dimension: {b.quotient_involution.algebra.dim} (the opposite quaternion)")
+print(f"quotient involution kind: {b.quotient_involution.kind()}")
 
 print("\nalpha (the skew Gram block):")
 for row in b.alpha.rows:

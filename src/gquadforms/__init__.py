@@ -57,15 +57,11 @@ from .grpalg import (
 )
 from .hermitian import (
     QuaternionPairShape,
-    SplitAdjointShape,
-    class_element,
     clifford_quaternion_pair,
     counterexample_element,
     induced_involution,
-    lift_class,
     local_hyperbolicity,
     records_equal,
-    witness_check,
 )
 from .construct import (
     build_N,

@@ -51,7 +51,6 @@ from .grpalg import (
     EndAlgebra,
     GModule,
     GroupSpec,
-    QuotientWithInvolution,
     RadicalResult,
     decompose_components,
     endomorphism_algebra,
@@ -89,7 +88,8 @@ def default_quaternions(p):
 
 @dataclass(slots=True, eq=False)
 class ConstructionBundle:
-    """One quaternion's worth of construction: (N, q, gamma, quotient)."""
+    """One quaternion's worth of construction: (N, q, gamma, E, R, and the
+    involution on E/R)."""
 
     quaternion: Quaternion
     module: GModule
@@ -98,7 +98,7 @@ class ConstructionBundle:
     gamma: InducedInvolution
     end_algebra: EndAlgebra
     radical: RadicalResult
-    quotient: QuotientWithInvolution
+    quotient_involution: InvolutionAlgebra
     checks: dict
 
 
@@ -256,8 +256,8 @@ def bundle(H, prefix="g"):
     report, E, rad = verify_EN(N, H)
     q, alpha = build_q(H)
     gamma = induced_involution(N, q)
-    quot = quotient_with_involution(E, rad, gamma.apply_matrix)
-    _verify_canonical_quotient_involution(quot)
+    ibar = quotient_with_involution(rad, gamma.apply_matrix)
+    _verify_canonical_quotient_involution(ibar)
     checks = dict(report)
     checks.update(
         {
@@ -276,21 +276,21 @@ def bundle(H, prefix="g"):
         gamma=gamma,
         end_algebra=E,
         radical=rad,
-        quotient=quot,
+        quotient_involution=ibar,
         checks=checks,
     )
 
 
-def _verify_canonical_quotient_involution(quot):
+def _verify_canonical_quotient_involution(ibar):
     """ibar(x) = Trd(x) - x on the whole quotient basis; returns True."""
-    algq = quot.algebra
+    algq = ibar.algebra
     p = algq.p
     half = RatFunc.from_int(p, pow(2, p - 2, p))
     for i in range(algq.dim):
         x = algq.basis_coords(i)
         trd = algq.left_mult_matrix(x).trace() * half
         expected = algq.sub(algq.smul(trd, algq.unit), x)
-        if quot.involution.apply(x) != expected:
+        if ibar.apply(x) != expected:
             raise CertificateError("quotient involution is not x -> Trd(x) - x")
     return True
 
@@ -363,7 +363,7 @@ def tensor_pair(b1, b2):
     E = EndAlgebra(p, 64, [x.kron(y).to_mat() for x in pm1 for y in pm2])
     rad = tensor_radical(b1.end_algebra, b1.radical, b2.end_algebra, b2.radical)
     # quotient: tensor of the factor quotients (pi = pi1 (x) pi2)
-    A1, A2 = b1.quotient.algebra, b2.quotient.algebra
+    A1, A2 = b1.quotient_involution.algebra, b2.quotient_involution.algebra
     dq1, dq2 = A1.dim, A2.dim
 
     def tens(c1, c2):
@@ -385,9 +385,9 @@ def tensor_pair(b1, b2):
     Ebar = Algebra(p, table, tens(A1.unit, A2.unit))
     cols = []
     for a1 in range(dq1):
-        i1 = b1.quotient.involution.apply(A1.basis_coords(a1))
+        i1 = b1.quotient_involution.apply(A1.basis_coords(a1))
         for a2 in range(dq2):
-            cols.append(tens(i1, b2.quotient.involution.apply(A2.basis_coords(a2))))
+            cols.append(tens(i1, b2.quotient_involution.apply(A2.basis_coords(a2))))
     gbar = InvolutionAlgebra(Ebar, Mat(p, cols).T)
     # at degree 4, kind() is "orthogonal" only when dim Sym = 10
     if gbar.kind() != "orthogonal":
@@ -543,7 +543,7 @@ def counterexample_pipeline(H1, H2, sample_places=5):
     # hyperbolicity of the underlying forms (both are, over a function field)
     q_hyper = is_hyperbolic(tb.form)
     # criterion verdicts for both regimes
-    verdict_factor = verdict_from_components(decompose_components(b1.quotient.involution))
+    verdict_factor = verdict_from_components(decompose_components(b1.quotient_involution))
     verdict_tensor = verdict_from_components(decompose_components(tb.quotient_involution))
     report = {
         "p": H1.p,

@@ -315,64 +315,6 @@ def commutant_of_matrices(p, n, mats):
     return span_products(p, basis)
 
 
-def direct_tensor_commutant(module, block_size):
-    """Direct solve of the 64-dimensional commutant through its block
-    separation, independent of the Kronecker construction.
-
-    Each generator matrix is checked exactly to be either block-scalar
-    (blocks c_ij * I: a first-factor action) or block-diagonal with one
-    repeated block (a second-factor action).  For block-scalar generators
-    the commutation constraints act on the block pattern of X with scalar
-    coefficients only, so the solution space is (pattern commutant) (x)
-    M_b; imposing the block-diagonal generators on that space forces each
-    block coefficient into their commutant.  The two small commutants are
-    then solved exactly, and the staged argument makes their Kronecker
-    span the full solution space of the big system.
-
-    Returns (left_basis, right_basis) of the two factor commutants.
-    """
-    p, n = module.p, module.dim
-    b = block_size
-    if n % b:
-        raise InputError("block size does not divide the module dimension")
-    nb = n // b
-    left_patterns = []
-    right_blocks = []
-    ident_b = Mat.identity(p, b)
-    for g in module.group.generators:
-        M = module.action[g]
-        blocks = [[_subblock(M, i, j, b) for j in range(nb)] for i in range(nb)]
-        if all(
-            _is_scalar_multiple_of_identity(blocks[i][j], ident_b)
-            for i in range(nb)
-            for j in range(nb)
-        ):
-            pattern = Mat(p, [[blocks[i][j].rows[0][0] for j in range(nb)] for i in range(nb)])
-            left_patterns.append(pattern)
-            continue
-        diag = blocks[0][0]
-        if all(
-            (blocks[i][j] == diag if i == j else blocks[i][j].is_zero())
-            for i in range(nb)
-            for j in range(nb)
-        ):
-            right_blocks.append(diag)
-            continue
-        raise InputError(f"generator {g} is neither block-scalar nor block-diagonal")
-    left = commutant_of_matrices(p, nb, left_patterns)
-    right = commutant_of_matrices(p, b, right_blocks)
-    return left, right
-
-
-def _subblock(M, i, j, b):
-    return Mat(M.p, [row[j * b : (j + 1) * b] for row in M.rows[i * b : (i + 1) * b]])
-
-
-def _is_scalar_multiple_of_identity(B, ident):
-    c = B.rows[0][0]
-    return B == ident * c
-
-
 # ---------------------------------------------------------------------------
 # Jacobson radical: characteristic-p chain with certificates
 # ---------------------------------------------------------------------------
@@ -588,38 +530,15 @@ def tensor_radical(E1, rad1, E2, rad2):
 # ---------------------------------------------------------------------------
 
 
-class QuotientWithInvolution:
-    """E/R with the induced involution, plus lift/project maps."""
+def quotient_with_involution(radical, iota):
+    """The involution induced on Ebar = E/R by `iota`, verified well defined.
 
-    __slots__ = ("end_algebra", "quotient", "involution", "radical", "parent_iota")
-
-    def __init__(self, end_algebra, quotient, involution, radical, parent_iota):
-        self.end_algebra = end_algebra
-        self.quotient = quotient  # QuotientData
-        self.involution = involution  # InvolutionAlgebra on the quotient
-        self.radical = radical
-        self.parent_iota = parent_iota  # carrier-matrix action of the involution on E
-
-    @property
-    def algebra(self):
-        return self.quotient.algebra
-
-    def project_matrix(self, M):
-        coords = self.end_algebra.algebra().coords_of(M)
-        if coords is None:
-            raise InputError("matrix is not in the endomorphism algebra")
-        return self.quotient.project(coords)
-
-    def lift_matrix(self, q_coords):
-        return self.end_algebra.algebra().matrix_of(self.quotient.lift(q_coords))
-
-
-def quotient_with_involution(E, radical, iota):
-    """Induce the involution on Ebar = E/R and verify it is well defined.
-
-    `iota` maps carrier matrices to carrier matrices.  The check iota(R)
-    inside R is exact; failure signals an involution incompatible with the
-    form (per the contract, an error rather than a convention).
+    `iota` maps carrier matrices to carrier matrices; `radical` carries the
+    certified quotient (`radical.quotient`).  The checks are exact: iota(R)
+    inside R, iota of every lift inside E, and (in `InvolutionAlgebra`)
+    ibar^2 = id and anti-multiplicativity.  A failure signals an involution
+    incompatible with the form (per the contract, an error rather than a
+    convention).  Returns the `InvolutionAlgebra` on `radical.quotient.algebra`.
     """
     quot = radical.quotient
     if quot is None:
@@ -635,8 +554,7 @@ def quotient_with_involution(E, radical, iota):
         if c is None:
             raise InputError("involution does not preserve the algebra")
         cols.append(quot.project(c))
-    inv_alg = InvolutionAlgebra(quot.algebra, Mat(E.p, cols).T)  # verifies iota^2, anti-mult
-    return QuotientWithInvolution(E, quot, inv_alg, radical, iota)
+    return InvolutionAlgebra(quot.algebra, Mat(alg.p, cols).T)  # verifies iota^2, anti-mult
 
 
 class ComponentReport:
@@ -999,5 +917,5 @@ def hp_verdict(m, form=None):
         return verdict_from_components(decompose_components_plain(rad.quotient.algebra), evidence)
     from .hermitian import induced_involution
 
-    quot = quotient_with_involution(E, rad, induced_involution(m, form).apply_matrix)
-    return verdict_from_components(decompose_components(quot.involution), evidence)
+    inv_alg = quotient_with_involution(rad, induced_involution(m, form).apply_matrix)
+    return verdict_from_components(decompose_components(inv_alg), evidence)

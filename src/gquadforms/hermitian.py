@@ -3,10 +3,11 @@ for classes of G-invariant forms on a fixed module.
 
 A G-form h' on the module of a base G-form h corresponds to the symmetric
 unit u = Gram(h)^{-1} Gram(h') of (End V, gamma), and h ~ h' exactly when
-u is congruent to 1 (the classifying-bijection dictionary).  Everything
-here manipulates such elements: projecting them to the semisimple quotient
-(where classes are detected), lifting back, and computing local invariant
-records.
+u is congruent to 1 (the classifying-bijection dictionary).  Classes are
+detected in the semisimple quotient E/R: this module builds the induced
+involution, finds the quotient element of the counterexample and computes
+its local invariant records.  The one way back from the quotient is the
+complement lift `construct.TensorBundle.lift_of`.
 
 For the degree-4 orthogonal quotients arising from two quaternion factors,
 the decisive invariant is the pair of commuting quaternion subalgebras
@@ -79,64 +80,6 @@ def induced_involution(module, form):
         if act.T * gram * act != rhs:
             raise InputError(f"form is not G-invariant at generator {g}")
     return InducedInvolution(module, A)
-
-
-def class_element(base_form, other_form, gamma, end_algebra=None):
-    """u = Gram(q)^{-1} Gram(q'): the hermitian element classifying q' against q."""
-    u = gamma.gram_inv * (other_form.gram if isinstance(other_form, QuadForm) else other_form)
-    if gamma.apply_matrix(u) != u:
-        raise InputError("class element is not symmetric for the induced involution")
-    if end_algebra is not None and not end_algebra.contains(u):
-        raise InputError("class element does not commute with the group action")
-    return u
-
-
-def witness_check(gamma, u, u_prime, e):
-    """Exact check sigma(e) * u * e = u' with e invertible."""
-    return _matrix_invertible(e) and gamma.apply_matrix(e) * u * e == u_prime
-
-
-# ---------------------------------------------------------------------------
-# project / lift along E -> Ebar
-# ---------------------------------------------------------------------------
-
-
-def lift_class(quot, ubar_coords):
-    """Hermitian-unit preimage of a quotient class, by symmetrized lifting.
-
-    Takes the complement lift, replaces it by (x + sigma(x))/2, and if that
-    is singular retries with symmetric radical shifts.  Bijectivity of the
-    class projection guarantees a hermitian unit exists above every
-    hermitian unit below.
-    """
-    E = quot.end_algebra
-    p = E.p
-    half = RatFunc.from_int(p, pow(2, p - 2, p))
-    lift = quot.lift_matrix(ubar_coords)
-
-    def symmetrize(X):
-        return (X + quot.parent_iota(X)) * half
-
-    cand = symmetrize(lift)
-    if _matrix_invertible(cand):
-        return cand
-    # retry with symmetric radical shifts (deterministic order)
-    for R in quot.radical.basis:
-        Rs = symmetrize(R)
-        if Rs.is_zero():
-            continue
-        shifted = cand + Rs
-        if tuple(quot.project_matrix(shifted)) == tuple(ubar_coords) and _matrix_invertible(shifted):
-            return shifted
-    raise CertificateError("no invertible symmetric lift found (unexpected)")
-
-
-def _matrix_invertible(X):
-    try:
-        X.inverse()
-        return True
-    except ValueError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -347,34 +290,6 @@ def _poly_power(g, m, p):
 # ---------------------------------------------------------------------------
 
 
-class SplitAdjointShape:
-    """Component shape (a): full matrix algebra over k, involution adjoint
-    to an explicit symmetric Gram A.  Hermitian elements are matrices U in
-    M_n(k); the translation U -> quadratic form with Gram A*U is exact."""
-
-    def __init__(self, gram):
-        self.gram = gram
-
-    def morita_form(self, U=None):
-        G = self.gram if U is None else self.gram * U
-        if G != G.T:
-            raise InputError("Morita Gram of a hermitian element must be symmetric")
-        return QuadForm(G)
-
-    def local_record(self, U, v):
-        q = self.morita_form(U)
-        det = RatFunc.one(self.gram.p)
-        for e in q.diagonal():
-            det = det * e
-        return {
-            "shape": "split-matrix",
-            "rank": q.rank,
-            "det": str(det),
-            "hasse": q.hasse_invariant(v),
-            "_det": det,
-        }
-
-
 class QuaternionPairShape:
     """Component shape (b): degree-4 orthogonal involution algebra whose
     skew space splits into two commuting quaternion subalgebras (the
@@ -505,14 +420,7 @@ def records_equal(rec1, rec2, v):
     """
     if rec1["shape"] != rec2["shape"] or rec1["rank"] != rec2["rank"]:
         return False
-    ratio = rec1["_nrd" if "_nrd" in rec1 else "_det"] / rec2["_nrd" if "_nrd" in rec2 else "_det"]
-    if not is_local_square(ratio, v):
-        return False
-    if "pair_pattern" in rec1 and rec1["pair_pattern"] != rec2["pair_pattern"]:
-        return False
-    if "hasse" in rec1 and rec1["hasse"] != rec2["hasse"]:
-        return False
-    return True
+    return is_local_square(rec1["_nrd"] / rec2["_nrd"], v) and rec1["pair_pattern"] == rec2["pair_pattern"]
 
 
 def local_hyperbolicity(shape, v):

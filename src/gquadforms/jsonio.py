@@ -92,12 +92,17 @@ def gmodule_from_json(data):
     return GModule(GroupSpec(p, gens), action, dim=dim)
 
 
+def _path_error(verb, path, exc):
+    """An OS error on a user-given path is an input error (CLI exit 2)."""
+    return InputError(f"cannot {verb} {path}: {exc.strerror or exc}")
+
+
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise _path_error("read", path, exc) from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
@@ -107,6 +112,9 @@ def dump_json(data, path=None):
     text = json.dumps(data, sort_keys=True, indent=2)
     if path is None:
         return text
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise _path_error("write", path, exc) from exc
     return None

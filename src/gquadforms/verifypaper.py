@@ -75,7 +75,7 @@ def run_paper_identities(p=3):
     check("Gram: g^T A g = A for all generators", lambda: induced_involution(b1.module, b1.form))
     check("gamma: gamma(g) = g^{-1} on generators", lambda: b1.gamma.verify_generator_inverses()[0])
     check("gamma: block formula preserves E_N", lambda: _gamma_blocks(b1))
-    check("quotient involution: x -> Trd(x) - x", lambda: _verify_canonical_quotient_involution(b1.quotient))
+    check("quotient involution: x -> Trd(x) - x", lambda: _verify_canonical_quotient_involution(b1.quotient_involution))
 
     tb = cx.tb
     results.append(("tensor: dim E = 400 = 20 * 20", tb.end_algebra.dim == 400))

@@ -277,3 +277,34 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     # a bad --p between calls still exits 2 and leaves the parser as it was
     assert run(capsys, "symbol", "1", "t", "--p", "4")[0] == 2
     assert run(capsys, *commands[0]) == fresh[0]
+
+
+def test_unreadable_input_path_exits_2(tmp_path, capsys):
+    # a directory where a JSON file is expected: an OS error, not a verdict
+    code, out, err = run(capsys, "qf-equiv", str(tmp_path), str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and str(tmp_path) in err
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "symbol", "t", "t+1", "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and str(target) in err
+
+
+def test_demos_run():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import gquadforms
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    demos = sorted((root / "demos").glob("*.py"))
+    assert demos
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gquadforms.__file__))}
+    for demo in demos:
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, f"{demo.name} exited {proc.returncode}:\n{proc.stderr}"

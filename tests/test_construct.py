@@ -8,10 +8,11 @@ import pytest
 from gquadforms.csa import Quaternion
 from gquadforms.errors import CertificateError, InputError
 from gquadforms.funcfield import Place, RatFunc
-from gquadforms.grpalg import direct_tensor_commutant, require_semisimple
+from gquadforms.grpalg import require_semisimple
 from gquadforms.jsonio import dump_json
 from gquadforms.linalg import KSpan, Mat, PolyMat
 from gquadforms.quadform import QuadForm, equivalent_global, is_hyperbolic
+from test_slow_paths import direct_tensor_commutant
 
 P = 3
 
@@ -30,7 +31,7 @@ def test_bundle_dimensions(bundle1, bundle2):
         assert b.module.dim == 8
         assert b.end_algebra.dim == 20
         assert b.radical.dim == 16
-        assert b.quotient.algebra.dim == 4
+        assert b.quotient_involution.algebra.dim == 4
         assert b.checks["quotient_isomorphic_to_Hop"]
 
 
@@ -72,7 +73,7 @@ def test_base_form_is_hyperbolic_rank8(bundle1):
 
 def test_quotient_involution_is_canonical(bundle1):
     # kind symplectic and ibar(x) = Trd(x) - x were certified during build
-    assert bundle1.quotient.involution.kind() == "symplectic"
+    assert bundle1.quotient_involution.kind() == "symplectic"
     assert bundle1.checks["quotient_involution_canonical"]
 
 
@@ -392,18 +393,16 @@ def test_verify_paper_recomputes_gram_symmetry(session_build, monkeypatch):
 
 def test_verify_paper_recomputes_quotient_involution(session_build, monkeypatch):
     from gquadforms.algebra import InvolutionAlgebra
-    from gquadforms.grpalg import QuotientWithInvolution
 
     def with_orthogonal_involution(cx):
         # x -> u ibar(x) u^-1 for a skew u: an involution, not the canonical one
-        q = cx.b1.quotient
-        A, ibar = q.algebra, q.involution
+        ibar = cx.b1.quotient_involution
+        A = ibar.algebra
         u = tuple(ibar.skew_basis()[0])
         u_inv = A.inverse(u)
         cols = [A.mult(A.mult(u, ibar.apply(A.basis_coords(i))), u_inv) for i in range(A.dim)]
         twisted = InvolutionAlgebra(A, Mat(P, cols).T)
-        quotient = QuotientWithInvolution(q.end_algebra, q.quotient, twisted, q.radical, q.parent_iota)
-        return dataclasses.replace(cx, b1=dataclasses.replace(cx.b1, quotient=quotient))
+        return dataclasses.replace(cx, b1=dataclasses.replace(cx.b1, quotient_involution=twisted))
 
     failed = _failed_paper_lines(session_build, monkeypatch, with_orthogonal_involution)
     assert failed == ["quotient involution: x -> Trd(x) - x"]
@@ -411,7 +410,7 @@ def test_verify_paper_recomputes_quotient_involution(session_build, monkeypatch)
 
 def test_verify_paper_recomputes_tensor_involution(session_build, monkeypatch):
     def with_symplectic_involution(cx):
-        tb = dataclasses.replace(cx.tb, quotient_involution=cx.b1.quotient.involution)
+        tb = dataclasses.replace(cx.tb, quotient_involution=cx.b1.quotient_involution)
         return dataclasses.replace(cx, tb=tb)
 
     failed = _failed_paper_lines(session_build, monkeypatch, with_symplectic_involution)

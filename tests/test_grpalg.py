@@ -978,7 +978,7 @@ def _assert_certified_quotient_is_fresh(E, rad):
 
 def test_certified_quotient_matches_a_fresh_quotient(bundle1, bundle2):
     for b in (bundle1, bundle2):
-        assert b.quotient.quotient is b.radical.quotient
+        assert b.quotient_involution.algebra is b.radical.quotient.algebra
         _assert_certified_quotient_is_fresh(b.end_algebra, b.radical)
     for i, boxes in enumerate(_BOXES):
         E = endomorphism_algebra(_box_module(P, boxes, seed=i))
@@ -1008,22 +1008,21 @@ def test_quotient_built_once_per_bundle_and_per_verdict(monkeypatch, h1, bundle1
 
 def _upper_triangular_radical():
     e11, e12, _, e22 = matrix_units(P, 2)
-    E = EndAlgebra(P, 2, [e11, e12, e22])
-    return E, jacobson_radical(E)
+    return jacobson_radical(EndAlgebra(P, 2, [e11, e12, e22]))
 
 
 def test_quotient_with_involution_rejects_an_involution_moving_the_radical():
-    E, rad = _upper_triangular_radical()
+    rad = _upper_triangular_radical()
     assert rad.dim == 1
     with pytest.raises(InputError, match="involution does not preserve the radical"):
-        quotient_with_involution(E, rad, lambda M: M.T)
+        quotient_with_involution(rad, lambda M: M.T)
 
 
 def test_quotient_with_involution_needs_a_certified_quotient():
     # a tensor_radical result carries no quotient
-    E, rad = _upper_triangular_radical()
+    rad = _upper_triangular_radical()
     with pytest.raises(ValueError, match="radical carries no certified quotient"):
-        quotient_with_involution(E, RadicalResult(rad.basis, rad.certificate), lambda M: M)
+        quotient_with_involution(RadicalResult(rad.basis, rad.certificate), lambda M: M)
 
 
 def _library_callers(name):

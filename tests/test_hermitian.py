@@ -1,23 +1,17 @@
-import random
-
 import pytest
 
 from gquadforms.errors import InputError
 from gquadforms.funcfield import Place, RatFunc, square_class
 from gquadforms.hermitian import (
     QuaternionPairShape,
-    SplitAdjointShape,
-    class_element,
     clifford_quaternion_pair,
     counterexample_element,
     induced_involution,
-    lift_class,
     local_hyperbolicity,
     poly_nth_root_monic,
     records_equal,
     reduced_norm_deg4,
     twisted_involution_algebra,
-    witness_check,
 )
 from gquadforms.linalg import Mat
 from gquadforms.grpalg import GModule, GroupSpec
@@ -83,94 +77,6 @@ def test_gamma_generator_inverses(bundle1):
 
 
 # ---------------------------------------------------------------------
-# class elements and witnesses
-# ---------------------------------------------------------------------
-
-
-def test_class_element_identity(bundle1):
-    u = class_element(bundle1.form, bundle1.form, bundle1.gamma, bundle1.end_algebra)
-    assert u == Mat.identity(P, 8)
-
-
-def test_class_element_congruent_form(bundle1):
-    rng = random.Random(2)
-    E = bundle1.end_algebra
-    gamma = bundle1.gamma
-    # pick an invertible k[G]-automorphism e from the endomorphism algebra
-    e = None
-    for X in E.basis:
-        cand = Mat.identity(P, 8) + X
-        try:
-            cand.inverse()
-        except ValueError:
-            continue
-        if E.contains(cand):
-            e = cand
-            break
-    assert e is not None
-    gram2 = e.T * bundle1.form.gram * e
-    q2 = QuadForm(gram2)
-    u = class_element(bundle1.form, q2, gamma, E)
-    # u = gamma(e) e: witnessed congruent to 1
-    assert witness_check(gamma, Mat.identity(P, 8), u, e)
-
-
-def test_witness_check_round_trip(bundle1):
-    rng = random.Random(3)
-    gamma = bundle1.gamma
-    for X in bundle1.end_algebra.basis[:4]:
-        e = Mat.identity(P, 8) + X
-        try:
-            e.inverse()
-        except ValueError:
-            continue
-        u = Mat.identity(P, 8)
-        u2 = gamma.apply_matrix(e) * u * e
-        assert witness_check(gamma, u, u2, e)
-    # non-invertible witness is always rejected
-    z = Mat.zeros(P, 8)
-    assert not witness_check(gamma, Mat.identity(P, 8), Mat.identity(P, 8), z)
-
-
-# ---------------------------------------------------------------------
-# project / lift
-# ---------------------------------------------------------------------
-
-
-def test_project_lift_round_trip(bundle1):
-    quot = bundle1.quotient
-    ubar = quot.algebra.unit
-    u = lift_class(quot, ubar)
-    assert tuple(quot.project_matrix(u)) == tuple(ubar)
-    assert bundle1.gamma.apply_matrix(u) == u
-    # a symmetric radical shift projects to the same class
-    r = None
-    for X in quot.radical.basis:
-        sym = (X + bundle1.gamma.apply_matrix(X)) * rf("2")  # (x + gamma x)/2
-        if not sym.is_zero():
-            r = sym
-            break
-    assert r is not None
-    shifted = u + r
-    assert tuple(quot.project_matrix(shifted)) == tuple(ubar)
-
-
-def test_lift_of_nontrivial_class(bundle1):
-    quot = bundle1.quotient
-    # lift the class of a nontrivial symmetric unit of the quotient
-    algq = quot.algebra
-    cand = None
-    for i in range(algq.dim):
-        x = algq.basis_coords(i)
-        if quot.involution.apply(x) == x and algq.left_mult_matrix(x).rank() == algq.dim:
-            cand = x
-            break
-    assert cand is not None
-    u = lift_class(quot, cand)
-    assert tuple(quot.project_matrix(u)) == tuple(cand)
-
-
-# ---------------------------------------------------------------------
 # quaternion pair machinery (tensor quotient)
 # ---------------------------------------------------------------------
 
@@ -224,42 +130,6 @@ def test_twisted_involution_requires_symmetric(tensor_bundle):
     skew = gbar.skew_basis()
     with pytest.raises(InputError):
         twisted_involution_algebra(gbar, tuple(skew[0]))
-
-
-# ---------------------------------------------------------------------
-# split-matrix shape records
-# ---------------------------------------------------------------------
-
-
-def test_split_adjoint_shape_records():
-    gram = Mat.identity(P, 2)
-    shape = SplitAdjointShape(gram)
-    U = Mat.from_int_rows(P, [[1, 0], [0, 1]])
-    v = Place.from_string(P, "t")
-    rec = shape.local_record(U, v)
-    assert rec["rank"] == 2
-    assert records_equal(rec, shape.local_record(U, v), v)
-    # Morita Gram of a hermitian element is symmetric (sigma(u) = u forced)
-    U2 = Mat.from_int_rows(P, [[2, 1], [1, 1]])
-    rec2 = shape.local_record(U2, v)
-    assert not records_equal(rec, rec2, v) or rec2["rank"] == rec["rank"]
-    with pytest.raises(InputError):
-        shape.local_record(Mat.from_int_rows(P, [[0, 1], [2, 0]]), v)
-
-
-def test_congruent_hermitian_elements_give_congruent_gram():
-    rng = random.Random(9)
-    gram = Mat.identity(P, 3)
-    shape = SplitAdjointShape(gram)
-    # sigma = transpose; congruent u' = e^T u e gives congruent Morita Gram
-    U = Mat.from_int_rows(P, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
-    e = Mat.from_int_rows(P, [[1, 1, 0], [0, 1, 0], [2, 0, 1]])
-    U2 = e.T * U * e
-    q1 = shape.morita_form(U)
-    q2 = shape.morita_form(U2)
-    from gquadforms.quadform import equivalent_global
-
-    assert equivalent_global(q1, q2)
 
 
 # ---------------------------------------------------------------------

@@ -3,13 +3,80 @@ the pipeline replaces with certified structured paths."""
 
 import pytest
 
+from gquadforms.errors import InputError
 from gquadforms.funcfield import RatFunc
+from gquadforms.grpalg import commutant_of_matrices
 from gquadforms.linalg import KSpan, Mat
 from gquadforms.quadform import QuadForm, equivalent_global
 
 P = 3
 
 pytestmark = pytest.mark.slow
+
+
+# ---------------------------------------------------------------------
+# test oracle: the direct 64-dim commutant solve (also used by test_construct)
+# ---------------------------------------------------------------------
+
+
+def direct_tensor_commutant(module, block_size):
+    """Direct solve of the 64-dimensional commutant through its block
+    separation, independent of the Kronecker construction.
+
+    Each generator matrix is checked exactly to be either block-scalar
+    (blocks c_ij * I: a first-factor action) or block-diagonal with one
+    repeated block (a second-factor action).  For block-scalar generators
+    the commutation constraints act on the block pattern of X with scalar
+    coefficients only, so the solution space is (pattern commutant) (x)
+    M_b; imposing the block-diagonal generators on that space forces each
+    block coefficient into their commutant.  The two small commutants are
+    then solved exactly, and the staged argument makes their Kronecker
+    span the full solution space of the big system.
+
+    Returns (left_basis, right_basis) of the two factor commutants.
+    """
+    p, n = module.p, module.dim
+    b = block_size
+    if n % b:
+        raise InputError("block size does not divide the module dimension")
+    nb = n // b
+    left_patterns = []
+    right_blocks = []
+    ident_b = Mat.identity(p, b)
+    for g in module.group.generators:
+        M = module.action[g]
+        blocks = [[_subblock(M, i, j, b) for j in range(nb)] for i in range(nb)]
+        if all(
+            _is_scalar_multiple_of_identity(blocks[i][j], ident_b)
+            for i in range(nb)
+            for j in range(nb)
+        ):
+            pattern = Mat(p, [[blocks[i][j].rows[0][0] for j in range(nb)] for i in range(nb)])
+            left_patterns.append(pattern)
+            continue
+        diag = blocks[0][0]
+        if all(
+            (blocks[i][j] == diag if i == j else blocks[i][j].is_zero())
+            for i in range(nb)
+            for j in range(nb)
+        ):
+            right_blocks.append(diag)
+            continue
+        raise InputError(f"generator {g} is neither block-scalar nor block-diagonal")
+    left = commutant_of_matrices(p, nb, left_patterns)
+    right = commutant_of_matrices(p, b, right_blocks)
+    return left, right
+
+
+def _subblock(M, i, j, b):
+    return Mat(M.p, [row[j * b : (j + 1) * b] for row in M.rows[i * b : (i + 1) * b]])
+
+
+def _is_scalar_multiple_of_identity(B, ident):
+    c = B.rows[0][0]
+    return B == ident * c
+
+
 
 
 def test_direct_64dim_diagonalization_agrees_with_kron(tensor_bundle):
@@ -24,8 +91,6 @@ def test_direct_64dim_diagonalization_agrees_with_kron(tensor_bundle):
 def test_direct_64dim_commutant_block_stages(tensor_bundle, bundle1, bundle2):
     """The direct staged solve of the full commutation system on the 64-dim
     module spans exactly the Kronecker basis (agreement of both paths)."""
-    from gquadforms.grpalg import direct_tensor_commutant
-
     left, right = direct_tensor_commutant(tensor_bundle.module, 8)
     assert len(left) * len(right) == tensor_bundle.end_algebra.dim == 400
     span_left = KSpan(P)
