@@ -60,7 +60,6 @@ from .hermitian import (
     clifford_quaternion_pair,
     counterexample_element,
     induced_involution,
-    local_hyperbolicity,
     records_equal,
 )
 from .construct import (

@@ -150,12 +150,6 @@ class Algebra:
         """Characteristic polynomial (ascending coeffs) of left mult by u."""
         return self.left_mult_matrix(u).charpoly()
 
-    def subspace(self, coord_vectors):
-        sp = KSpan(self.p)
-        for vec in coord_vectors:
-            sp.add(list(vec))
-        return sp
-
     def __repr__(self):
         kind = "matrix" if self.matrices is not None else "abstract"
         return f"Algebra(dim {self.dim}, {kind}, p={self.p})"
@@ -191,9 +185,11 @@ class QuotientData:
 def quotient_algebra(E, ideal_vectors):
     """Quotient of E by the span of the given ideal coordinate vectors."""
     p = E.p
-    span = E.subspace(ideal_vectors)
+    span, probe = KSpan(p), KSpan(p)
+    for vec in ideal_vectors:
+        span.add(vec)
+        probe.add(vec)
     lifts = []
-    probe = E.subspace(span.basis_rows())
     for i in range(E.dim):
         cand = E.basis_coords(i)
         if probe.add(list(cand)):
@@ -232,40 +228,38 @@ def _is_rref(mats):
 
 
 def algebra_from_span(alg, vectors):
-    """Subalgebra of `alg` spanned by the given coordinate vectors.
+    """Subalgebra of `alg` generated by the given coordinate vectors.
 
     Returns (sub_algebra, span); the span's RREF rows fix the sub-basis and
-    its coordinates map back to `alg`.  Raises if the span is not closed
-    under multiplication or misses a unit of its own.
+    its coordinates map back to `alg`.  The span is closed with the products
+    of its basis that give the structure constants: a product outside it
+    joins it and the products are formed again.  Raises if the subalgebra
+    has no unit of its own.
     """
     sp = KSpan(alg.p)
     for v in vectors:
-        sp.add(list(v))
-    basis = sp.basis_rows()
-    table = []
-    for u in basis:
-        row = []
-        for w in basis:
-            prod = alg.mult(u, w)
-            coords = sp.coordinates(list(prod))
-            if coords is None:
-                raise ValueError("span is not multiplicatively closed")
-            row.append(tuple(coords))
-        table.append(row)
+        sp.add(v)
+    grown = True
+    while grown:
+        basis = sp.basis_rows()
+        table, grown = [], False
+        for u in basis:
+            row = []
+            for w in basis:
+                prod = alg.mult(u, w)
+                coords = sp.coordinates(prod)
+                if coords is None:
+                    sp.add(prod)
+                    grown = True
+                else:
+                    row.append(tuple(coords))
+            table.append(row)
     # unit: solve e with e*b = b for all b (two-sided by closure)
-    unit = None
-    if sp.contains(list(alg.unit)):
-        unit = sp.coordinates(list(alg.unit))
-    else:
-        d = len(basis)
-        rows = []
-        rhs = []
-        for bidx in range(d):
-            for l in range(d):
-                rows.append([table[m][bidx][l] for m in range(d)])
-                rhs.append(RatFunc.one(alg.p) if (l == bidx) else RatFunc.zero(alg.p))
-        aug = Mat(alg.p, rows)
-        unit = aug.solve(tuple(rhs))
+    unit = sp.coordinates(alg.unit)
+    if unit is None:
+        d, one, zero = len(basis), RatFunc.one(alg.p), RatFunc.zero(alg.p)
+        rows = [[table[m][b][l] for m in range(d)] for b in range(d) for l in range(d)]
+        unit = Mat(alg.p, rows).solve([one if l == b else zero for b in range(d) for l in range(d)])
         if unit is None:
             raise ValueError("span has no unit element")
     sub = Algebra(alg.p, table, tuple(unit))

@@ -64,7 +64,6 @@ from .hermitian import (
     QuaternionPairShape,
     counterexample_element,
     induced_involution,
-    local_hyperbolicity,
     records_equal,
 )
 from .jsonio import dump_json as report_to_json
@@ -304,13 +303,11 @@ def _verify_canonical_quotient_involution(ibar):
 class TensorBundle:
     """(N1 (x) N2, q1 (x) q2) over G x G with factored E, R, and quotient."""
 
-    factors: tuple
     module: GModule
     form: QuadForm
     gamma: InducedInvolution
     end_algebra: EndAlgebra
     radical: RadicalResult
-    quotient_algebra: Algebra
     quotient_involution: InvolutionAlgebra
     lift_mats: list
     checks: dict
@@ -410,13 +407,11 @@ def tensor_pair(b1, b2):
         "quotient_semisimple": True,
     }
     return TensorBundle(
-        factors=(b1, b2),
         module=N,
         form=q,
         gamma=gamma,
         end_algebra=E,
         radical=rad,
-        quotient_algebra=Ebar,
         quotient_involution=gbar,
         lift_mats=lift_mats,
         checks=checks,
@@ -489,7 +484,7 @@ def build_counterexample(H1, H2, sample_places=5):
     places = bad + sampled
     hyper_table = []
     for v in places:
-        if not local_hyperbolicity(shape, v):
+        if not shape.local_hyperbolic(v):
             raise CertificateError(f"base involution is not hyperbolic at {v}")
         hyper_table.append([str(v), True])
     # the counterexample element, certified
@@ -498,7 +493,7 @@ def build_counterexample(H1, H2, sample_places=5):
     # the twisted involution is unchanged and Nrd scales by a 4th power)
     ubar = _clear_coord_denominators(result["ubar"])
     # local G-equivalence table: records of ubar vs 1 at every tabulated place
-    unit = tb.quotient_algebra.unit
+    unit = tb.quotient_involution.algebra.unit
     local_table = []
     for v in places:
         r_u = shape.local_record(ubar, v)
@@ -525,7 +520,7 @@ def counterexample_pipeline(H1, H2, sample_places=5):
     # lift u and materialize q' = Gram(q) * u; symmetry of Gram(q) * u is
     # exactly gamma-symmetry of u since Gram(q) is symmetric invertible
     u = tb.lift_of(ubar)
-    ubar_inv = tb.quotient_algebra.inverse(ubar)
+    ubar_inv = tb.quotient_involution.algebra.inverse(ubar)
     u_inv = tb.lift_of(_clear_coord_denominators(ubar_inv))
     prod = u * u_inv
     if not _is_scalar_matrix(prod):
@@ -560,7 +555,7 @@ def counterexample_pipeline(H1, H2, sample_places=5):
             "module": tb.module.dim,
             "end_algebra": tb.end_algebra.dim,
             "radical": tb.radical.dim,
-            "quotient": tb.quotient_algebra.dim,
+            "quotient": tb.quotient_involution.algebra.dim,
         },
         "factor_checks": [b1.checks, cx.b2.checks],
         "tensor_checks": tb.checks,

@@ -575,8 +575,8 @@ class ComponentReport:
 def _component_subalgebra(alg, idempotent):
     """(e*A*e, its span in A): the component when e is central, with unit e.
 
-    e*A*e is closed and e is its only unit, so `algebra_from_span` cannot
-    raise here and the unit it finds is e.
+    e*A*e is closed, so the closure in `algebra_from_span` adds nothing;
+    e is its only unit, so it cannot raise here and the unit it finds is e.
     """
     return algebra_from_span(
         alg,

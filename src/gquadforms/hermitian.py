@@ -18,7 +18,7 @@ ramification sets) is an exact conjugation invariant.  Two forms whose
 twisted involutions have different pairs cannot be isometric.  That one
 elementary fact carries the global inequivalence certificate; the local
 classification used for the per-place records is isolated in
-`records_equal` / `local_hyperbolicity` and documented there.
+`records_equal` / `QuaternionPairShape.local_hyperbolic`, documented there.
 """
 
 from .algebra import InvolutionAlgebra, algebra_from_span
@@ -168,9 +168,8 @@ def clifford_quaternion_pair(inv_alg):
 
     members = []
     for sp in (lie_plus, lie_minus):
-        vectors = [A.unit] + [tuple(r) for r in sp.basis_rows()]
-        # close under multiplication (pure products may leave span{1, L})
-        sub, sub_span = algebra_from_span(A, _mult_closure(A, vectors))
+        # the generated subalgebra (pure products may leave span{1, L})
+        sub, sub_span = algebra_from_span(A, [A.unit] + sp.basis_rows())
         if sub.dim != 4:
             raise ExtractionError("associative closure of a Lie ideal is not quaternion")
         from .csa import quaternion_from_algebra
@@ -197,23 +196,6 @@ def clifford_quaternion_pair(inv_alg):
                 raise CertificateError("involution is not canonical on a pair member")
     members.sort(key=lambda m: _ram_key(m.quaternion))
     return tuple(members)
-
-
-def _mult_closure(A, vectors):
-    sp = KSpan(A.p)
-    out = [tuple(v) for v in vectors]
-    for v in out:
-        sp.add(list(v))
-    changed = True
-    while changed:
-        changed = False
-        cur = [tuple(r) for r in sp.basis_rows()]
-        for x in cur:
-            for y in cur:
-                z = A.mult(x, y)
-                if sp.add(list(z)):
-                    changed = True
-    return [tuple(r) for r in sp.basis_rows()]
 
 
 def _ram_key(quat):
@@ -421,10 +403,6 @@ def records_equal(rec1, rec2, v):
     if rec1["shape"] != rec2["shape"] or rec1["rank"] != rec2["rank"]:
         return False
     return is_local_square(rec1["_nrd"] / rec2["_nrd"], v) and rec1["pair_pattern"] == rec2["pair_pattern"]
-
-
-def local_hyperbolicity(shape, v):
-    return shape.local_hyperbolic(v)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ Two representations coexist:
 `combination` the one linear combination of matrices (the sum of M c over
 the nonzero c); every coordinate map in the library goes through them.
 
+`KSpan` is the one Gauss-Jordan elimination over k: it keeps a span's
+reduced row echelon basis as vectors arrive, and `Mat.rref` (hence
+`nullspace`, `solve` and `inverse`) feeds it the rows of a matrix.  The
+coordinates of a vector in an RREF basis are its entries at the pivot
+columns; `KSpan.coordinates` and `span_products` both read them there.
+
 `span_products` is the one batched kernel for RREF bases of matrix lists
 and for the coordinates of matrix products in a span, with the same answer
 in either domain of the rule below.
@@ -208,37 +214,14 @@ class Mat:
     # -- elimination ---------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form: (Mat, pivot column tuple)."""
-        rows = [list(r) for r in self.rows]
-        nr, nc = len(rows), self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            pr = None
-            for i in range(r, nr):
-                if not rows[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [a * inv for a in rows[r]]
-            for i in range(nr):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [
-                        a - f * b if not b.is_zero() else a
-                        for a, b in zip(rows[i], rows[r])
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        return Mat(self.p, rows), tuple(pivots)
-
-    def rank(self):
-        return len(self.rref()[1])
+        """Reduced row echelon form: (Mat, pivot column tuple).  The rows go
+        through a `KSpan`, the one Gauss-Jordan over k; its RREF rows come
+        first, then zero rows up to `nrows`."""
+        sp = KSpan(self.p)
+        for r in self.rows:
+            sp.add(r)
+        zero = [RatFunc.zero(self.p)] * self.ncols
+        return Mat(self.p, sp.rows + [zero] * (self.nrows - sp.dim)), tuple(sp.pivots)
 
     def nullspace(self):
         """Basis of the right nullspace as a list of row vectors (tuples)."""
@@ -326,7 +309,8 @@ def matrix_units(p, n):
 
 
 class KSpan:
-    """Row space over k with incremental RREF; deterministic basis."""
+    """Row space over k with incremental RREF (the one Gauss-Jordan over
+    k); deterministic basis, rows sorted by pivot column."""
 
     __slots__ = ("p", "rows", "pivots")
 
@@ -376,19 +360,12 @@ class KSpan:
         return len(self.rows)
 
     def coordinates(self, vec):
-        """Coordinates of vec in the RREF basis, or None if outside the span."""
-        v = list(vec)
-        coords = []
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            coords.append(c)
-            if not c.is_zero():
-                for j, b in enumerate(row):
-                    if not b.is_zero():
-                        v[j] = v[j] - c * b
-        if any(not e.is_zero() for e in v):
+        """Coordinates of vec in the RREF basis, or None if outside the span:
+        its entries at the pivot columns, since every other basis row is zero
+        at each pivot."""
+        if any(not e.is_zero() for e in self.reduce(vec)):
             return None
-        return coords
+        return [vec[j] for j in self.pivots]
 
     def basis_rows(self):
         return [tuple(r) for r in self.rows]

@@ -80,7 +80,7 @@ def run_paper_identities(p=3):
     tb = cx.tb
     results.append(("tensor: dim E = 400 = 20 * 20", tb.end_algebra.dim == 400))
     results.append(("tensor: dim radical = 384", tb.radical.dim == 384))
-    results.append(("tensor: dim quotient = 16", tb.quotient_algebra.dim == 16))
+    results.append(("tensor: dim quotient = 16", tb.quotient_involution.algebra.dim == 16))
     check(
         "tensor: quotient involution orthogonal with dim Sym = 10",
         lambda: _kind_and_sym_dim(tb.quotient_involution) == ("orthogonal", 10),

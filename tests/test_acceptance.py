@@ -130,7 +130,7 @@ def test_criterion_05_involution_identities(h1):
 def test_criterion_06_tensor_dimensions(tensor_bundle):
     t0 = time.time()
     assert tensor_bundle.end_algebra.dim == 400
-    assert tensor_bundle.quotient_algebra.dim == 16
+    assert tensor_bundle.quotient_involution.algebra.dim == 16
     assert tensor_bundle.quotient_involution.kind() == "orthogonal"
     assert tensor_bundle.quotient_involution.sym_dim() == 10
     _report(6, "dim E = 400, dim Ebar = 16, kind orthogonal (Sym 10)", t0, 5)
@@ -148,7 +148,7 @@ def test_criterion_07_ramification_sets(h1, h2):
 def test_criterion_08_local_hyperbolicity(tensor_bundle):
     t0 = time.time()
     from gquadforms.construct import sample_unramified_places
-    from gquadforms.hermitian import QuaternionPairShape, local_hyperbolicity
+    from gquadforms.hermitian import QuaternionPairShape
 
     shape = QuaternionPairShape(tensor_bundle.quotient_involution)
     bad = shape.q_ramification
@@ -156,7 +156,7 @@ def test_criterion_08_local_hyperbolicity(tensor_bundle):
     sampled = sample_unramified_places(P, bad, 5)
     assert len(sampled) >= 5
     for v in list(bad) + sampled:
-        assert local_hyperbolicity(shape, v)
+        assert shape.local_hyperbolic(v)
     _report(8, "sigma-bar hyperbolic at 4 ramified and 5 sampled places", t0, 5)
 
 

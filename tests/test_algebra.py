@@ -109,6 +109,11 @@ def test_algebra_from_span_unit_search():
     sub, sp = algebra_from_span(alg, [e11])
     assert sub.dim == 1
     assert sub.mult(sub.unit, sub.unit) == sub.unit
+    # e12 and e21 generate all of M_2(k): their products add e11 and e22
+    e12, e21 = (alg.coords_of(Mat.from_int_rows(P, rows)) for rows in ([[0, 1], [0, 0]], [[0, 0], [1, 0]]))
+    sub, sp = algebra_from_span(alg, [e12, e21])
+    assert sub.dim == 4
+    assert sub.unit == tuple(sp.coordinates(alg.coords_of(Mat.identity(P, 2))))
 
 
 def test_involution_validation():

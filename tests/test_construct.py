@@ -86,9 +86,9 @@ def test_tensor_dimensions(tensor_bundle):
     assert tensor_bundle.module.dim == 64
     assert tensor_bundle.end_algebra.dim == 400
     assert tensor_bundle.radical.dim == 384
-    assert tensor_bundle.quotient_algebra.dim == 16
+    assert tensor_bundle.quotient_involution.algebra.dim == 16
     assert tensor_bundle.checks["quotient_sym_dim"] == 10
-    require_semisimple(tensor_bundle.quotient_algebra, "tensor quotient is not semisimple")
+    require_semisimple(tensor_bundle.quotient_involution.algebra, "tensor quotient is not semisimple")
     assert tensor_bundle.quotient_involution.sym_dim() == 10
 
 
@@ -100,7 +100,7 @@ def test_tensor_gram_is_kronecker(tensor_bundle, bundle1, bundle2):
 def test_tensor_lifts_project_to_basis(tensor_bundle):
     # lift matrices were built to project exactly onto the quotient basis:
     # their pairwise products reduce mod radical to the structure constants
-    alg = tensor_bundle.quotient_algebra
+    alg = tensor_bundle.quotient_involution.algebra
     lifts = tensor_bundle.lift_mats
     rad_span = KSpan(P)
     for M in tensor_bundle.radical.basis:
@@ -409,8 +409,18 @@ def test_verify_paper_recomputes_quotient_involution(session_build, monkeypatch)
 
 
 def test_verify_paper_recomputes_tensor_involution(session_build, monkeypatch):
+    from gquadforms.algebra import InvolutionAlgebra
+
     def with_symplectic_involution(cx):
-        tb = dataclasses.replace(cx.tb, quotient_involution=cx.b1.quotient_involution)
+        # on the same 16-dim quotient, canonical (x) orthogonal: symplectic,
+        # dim Sym = 6; the orthogonal factor is conj twisted by a pure quaternion
+        conj1, conj2 = cx.b1.quotient_involution, cx.b2.quotient_involution
+        A2 = conj2.algebra
+        u = conj2.skew_basis()[0]
+        u_inv = A2.inverse(u)
+        tau2 = Mat(P, [A2.mult(u_inv, A2.mult(conj2.apply(A2.basis_coords(j)), u)) for j in range(A2.dim)]).T
+        symplectic = InvolutionAlgebra(cx.tb.quotient_involution.algebra, conj1.inv_mat.kron(tau2))
+        tb = dataclasses.replace(cx.tb, quotient_involution=symplectic)
         return dataclasses.replace(cx, tb=tb)
 
     failed = _failed_paper_lines(session_build, monkeypatch, with_symplectic_involution)
@@ -452,7 +462,7 @@ def test_reduced_norm_computed_once_per_element(session_build, monkeypatch):
     # every tabulated place share two computations
     assert len(cx.places) >= 9
     assert len(norms) == 2
-    assert set(norms) == {tuple(cx.ubar), tuple(cx.tb.quotient_algebra.unit)}
+    assert set(norms) == {tuple(cx.ubar), tuple(cx.tb.quotient_involution.algebra.unit)}
 
 
 def test_each_element_is_twisted_once(session_build, monkeypatch):

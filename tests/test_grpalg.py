@@ -710,7 +710,7 @@ def test_radical_chain_makes_no_mat_product_or_charpoly(monkeypatch, bundle1, te
     box = endomorphism_algebra(_box_module(P, _BOXES[0], seed=0))
     box_rad = jacobson_radical(box)
     chains = [(bundle1.end_algebra, bundle1.radical), (box, box_rad)]
-    quotients = [bundle1.radical.quotient.algebra, box_rad.quotient.algebra, tensor_bundle.quotient_algebra]
+    quotients = [bundle1.radical.quotient.algebra, box_rad.quotient.algebra, tensor_bundle.quotient_involution.algebra]
     assert (quotients[0].dim, quotients[2].dim) == (4, 16)
     for alg in quotients:
         alg.regular_representation()  # built once and kept

@@ -7,7 +7,6 @@ from gquadforms.hermitian import (
     clifford_quaternion_pair,
     counterexample_element,
     induced_involution,
-    local_hyperbolicity,
     poly_nth_root_monic,
     records_equal,
     reduced_norm_deg4,
@@ -101,12 +100,12 @@ def test_counterexample_element_certificates(tensor_bundle):
     cert = result["certificate"]
     assert cert["value_for_u"] != cert["value_for_1"]
     assert cert["hyperbolicity_witness_for_u"]
-    A, ubar, e = tensor_bundle.quotient_algebra, result["ubar"], result["witness_idempotent"]
+    A, ubar, e = tensor_bundle.quotient_involution.algebra, result["ubar"], result["witness_idempotent"]
     assert A.mult(e, e) == e
     assert shape.twisted_involution(ubar).apply(e) == A.sub(A.unit, e)
     assert square_class(shape.nrd(ubar)).is_trivial()
     # local triviality at the four ramified places and a couple more
-    unit = tensor_bundle.quotient_algebra.unit
+    unit = tensor_bundle.quotient_involution.algebra.unit
     for v in shape.q_ramification:
         r_u = shape.local_record(ubar, v)
         r_1 = shape.local_record(unit, v)
@@ -120,8 +119,8 @@ def test_counterexample_element_certificates(tensor_bundle):
 def test_local_hyperbolicity_places(tensor_bundle):
     shape = QuaternionPairShape(tensor_bundle.quotient_involution)
     for v in shape.q_ramification:
-        assert local_hyperbolicity(shape, v)
-    assert local_hyperbolicity(shape, Place.from_string(P, "t^2+1"))
+        assert shape.local_hyperbolic(v)
+    assert shape.local_hyperbolic(Place.from_string(P, "t^2+1"))
 
 
 def test_twisted_involution_requires_symmetric(tensor_bundle):
@@ -149,5 +148,5 @@ def test_poly_nth_root():
 
 
 def test_reduced_norm_on_tensor_quotient(tensor_bundle):
-    alg = tensor_bundle.quotient_algebra
+    alg = tensor_bundle.quotient_involution.algebra
     assert reduced_norm_deg4(alg, alg.unit) == RatFunc.one(P)

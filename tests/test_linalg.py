@@ -277,9 +277,71 @@ def test_kspan_rref_determinism():
     assert sp.contains(v3)
     coords = sp.coordinates(v3)
     assert coords is not None
+    zero = RatFunc.zero(P)
+    assert [sum((c * row[j] for c, row in zip(coords, sp.basis_rows())), zero) for j in range(3)] == v3
+    assert sp.coordinates([RatFunc.from_int(P, c) for c in (0, 0, 1)]) is None
     sp2 = KSpan(P)
     assert sp2.add(v2) and sp2.add(v1)
     assert sp.basis_rows() == sp2.basis_rows()  # RREF basis independent of order
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+def test_rref_nullspace_solve_match_sympy_over_rational_functions(p):
+    """`Mat.rref` (a `KSpan`), `nullspace` and `solve` against sympy's
+    DomainMatrix over GF(p)(t), on sparse matrices with denominators."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    K = sympy.GF(p).frac_field(sympy.Symbol("t"))
+    x = K.gens[0]
+
+    def to_k(f):
+        num, den = (sum((c * x**d for d, c in enumerate(g.coeffs)), K.zero) for g in (f.num, f.den))
+        return num / den
+
+    def to_dm(rows, ncols):
+        return DomainMatrix([[to_k(e) for e in r] for r in rows], (len(rows), ncols), K)
+
+    def same(A, B):
+        # sympy keeps fractions like 2/2 unreduced, so compare differences
+        return A.shape == B.shape and (A - B).is_zero_matrix
+
+    rng = random.Random(f"rref:{p}")
+
+    def rand_rows(n, m):
+        return [[_sparse_rf(rng, p) for _ in range(m)] for _ in range(n)]
+
+    zero = RatFunc.zero(p)
+    dependent = rand_rows(3, 5)
+    a, b = _sparse_rf(rng, p), _sparse_rf(rng, p)
+    dependent.append([a * u + b * v for u, v in zip(dependent[0], dependent[2])])
+    with_zero_row = rand_rows(2, 4) + [[zero] * 4] + rand_rows(1, 4)
+    cases = [rand_rows(4, 4), dependent, rand_rows(6, 3), with_zero_row, rand_rows(1, 1), [[zero] * 3] * 2]
+    for rows in cases:
+        M = Mat(p, rows)
+        n, m = M.nrows, M.ncols
+        R, pivots = M.rref()
+        want, want_pivots = to_dm(rows, m).rref()
+        assert pivots == tuple(want_pivots)
+        assert same(to_dm(R.rows, m), want)
+        # nullspace: the basis that is 1 at its own free column, 0 at the others
+        got = M.nullspace()
+        free = [c for c in range(m) if c not in want_pivots]
+        assert len(got) == len(free)
+        if got:
+            N = to_dm(got, m)
+            assert (to_dm(rows, m) * N.transpose()).is_zero_matrix
+            assert same(N.extract(range(len(free)), free), DomainMatrix.eye(len(free), K))
+        # solve: a solution with zero free coordinates, or None when there is none
+        for rhs in ([_sparse_rf(rng, p) for _ in range(n)], [r[0] for r in rows]):
+            sol = M.solve(rhs)
+            consistent = to_dm([r + [c] for r, c in zip(rows, rhs)], m + 1).rank() == len(want_pivots)
+            assert (sol is not None) == consistent
+            if sol is not None:
+                assert same(to_dm(rows, m) * to_dm([sol], m).transpose(), to_dm([[c] for c in rhs], 1))
+                assert all(sol[c].is_zero() for c in free)
+    empty = Mat(p, [])
+    assert empty.rref() == (empty, ()) and empty.nullspace() == [] and empty.solve([]) == ()
 
 
 def test_modp_helpers():
