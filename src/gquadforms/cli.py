@@ -34,7 +34,7 @@ def _emit(data, args):
     if args.output:
         dump_json(data, args.output)
         return
-    if getattr(args, "pretty", False):
+    if args.pretty:
         _pretty_print(data)
     else:
         print(dump_json(data))
@@ -186,43 +186,49 @@ def cmd_verify_paper(args):
 def build_parser():
     """The argument parser, built once per process: `parse_args` returns a
     fresh namespace on every call and leaves the parser unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
-    common.add_argument("--pretty", action="store_true", help="human-readable tables")
-    common.add_argument("-o", "--output", help="write JSON to a file instead of stdout")
+    prime = argparse.ArgumentParser(add_help=False)
+    prime.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="human-readable tables")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", help="write JSON to a file instead of stdout")
     ap = argparse.ArgumentParser(
         prog="gquadforms",
         description="Exact computation with G-quadratic forms over F_p(t)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # no abbreviations: `--p` on a command without it must not mean `--pretty`
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    s = sub.add_parser("symbol", parents=[common], help="Hilbert symbols of (a, b) on their support")
+    s = command("symbol", parents=[prime, pretty, output], help="Hilbert symbols of (a, b) on their support")
     s.add_argument("a")
     s.add_argument("b")
     s.set_defaults(fn=cmd_symbol)
 
-    s = sub.add_parser("ram", parents=[common], help="ramification set of the quaternion (a, b)")
+    s = command("ram", parents=[prime, pretty, output], help="ramification set of the quaternion (a, b)")
     s.add_argument("a")
     s.add_argument("b")
     s.set_defaults(fn=cmd_ram)
 
-    s = sub.add_parser("qf-equiv", parents=[common], help="Hasse-Minkowski global equivalence verdict")
+    s = command("qf-equiv", parents=[pretty, output], help="Hasse-Minkowski global equivalence verdict")
     s.add_argument("form1")
     s.add_argument("form2")
     s.set_defaults(fn=cmd_qf_equiv)
 
-    s = sub.add_parser("hp-check", parents=[common], help="sufficient-criterion verdict for a module")
+    s = command("hp-check", parents=[pretty, output], help="sufficient-criterion verdict for a module")
     s.add_argument("module")
     s.add_argument("form", nargs="?", default=None)
     s.set_defaults(fn=cmd_hp_check)
 
-    s = sub.add_parser("counterexample", parents=[common], help="full local-global counterexample pipeline")
+    s = command(
+        "counterexample", parents=[prime, pretty, output], help="full local-global counterexample pipeline"
+    )
     s.add_argument("--h1", help="first quaternion as 'a,b' (default: c,t with c the smallest nonsquare mod p)")
     s.add_argument("--h2", help="second quaternion as 'a,b' (default: c,t^2-3*t+2)")
     s.add_argument("--sample-places", type=int, default=5)
     s.set_defaults(fn=cmd_counterexample)
 
-    s = sub.add_parser("verify-paper", parents=[common], help="re-run every pinned construction identity")
+    s = command("verify-paper", parents=[prime, output], help="re-run every pinned construction identity")
     s.set_defaults(fn=cmd_verify_paper)
     return ap
 
@@ -230,11 +236,12 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        require_odd_prime(args.p)
-    except ValueError:
-        print("error: --p must be an odd prime", file=sys.stderr)
-        return EXIT_INPUT
+    if hasattr(args, "p"):
+        try:
+            require_odd_prime(args.p)
+        except ValueError:
+            print("error: --p must be an odd prime", file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.fn(args)
     except InputError as exc:

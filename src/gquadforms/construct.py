@@ -39,7 +39,7 @@ from .algebra import Algebra, InvolutionAlgebra
 from .csa import (
     Quaternion,
     RhoInvolution,
-    SandwichIso,
+    left_mult_matrix,
     quat_mul,
     right_mult_matrix,
     solve_alpha,
@@ -102,8 +102,8 @@ class ConstructionBundle:
 
 
 def build_N(H, prefix="g"):
-    """The dimension-8 module over C_p^3: generators [[I, a_m], [0, I]]."""
-    f = SandwichIso(H)
+    """The dimension-8 module over C_p^3: generators [[I, a_m], [0, I]], a_m
+    the left multiplications by 1, i and j."""
     p = H.p
     Z, I4 = Mat.zeros(p, 4), Mat.identity(p, 4)
 
@@ -116,16 +116,8 @@ def build_N(H, prefix="g"):
         return Mat(p, rows)
 
     grp = GroupSpec.cp_cubed(p, prefix=prefix)
-    names = list(grp.generators)
-    N = GModule(
-        grp,
-        {
-            names[0]: block_unipotent(f.a1),
-            names[1]: block_unipotent(f.a2),
-            names[2]: block_unipotent(f.a3),
-        },
-    )
-    return N, f
+    gens = [block_unipotent(left_mult_matrix(x)) for x in H.basis()[:3]]  # 1, i, j
+    return GModule(grp, dict(zip(grp.generators, gens)))
 
 
 def verify_EN(N, H):
@@ -251,7 +243,7 @@ def _primitive_scale(alpha):
 def bundle(H, prefix="g"):
     """Full verified construction bundle for one quaternion."""
     H = H.reduced()
-    N, f = build_N(H, prefix=prefix)
+    N = build_N(H, prefix=prefix)
     report, E, rad = verify_EN(N, H)
     q, alpha = build_q(H)
     gamma = induced_involution(N, q)

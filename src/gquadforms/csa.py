@@ -9,7 +9,7 @@ exactly as in the unipotent-module construction this feeds into.
 """
 
 from .funcfield import Place, RatFunc, hilbert_symbol, support, square_class
-from .linalg import KSpan, Mat, combination, matrix_units
+from .linalg import KSpan, Mat, combination, intertwiners, matrix_units
 from .algebra import Algebra, InvolutionAlgebra
 
 
@@ -246,40 +246,19 @@ def rho_involution(H):
 def solve_alpha(rho, H):
     """Skew-symmetric alpha with rho(x) = alpha^{-1} x^T alpha for all x.
 
-    Solves the linear system alpha * rho(x) = x^T * alpha over a basis of
-    M_4(k); the solution space must be 1-dimensional (scalar gauge), and
-    the representative is normalized so its first nonzero entry in
-    row-major order is 1.
+    `linalg.intertwiners` solves alpha rho(U) = U^T alpha over the matrix
+    units U of M_4(k); the solution space must be 1-dimensional (scalar
+    gauge), and its RREF representative has first nonzero entry 1 in
+    row-major order.
     """
-    p = H.p
-    units = matrix_units(p, 4)
-    eq_rows = []
-    for X in units:
-        RX = rho.apply(X)
-        XT = X.T
-        # entries of alpha are 16 unknowns alpha[r][c], row-major
-        for u in range(4):
-            for w in range(4):
-                row = [RatFunc.zero(p)] * 16
-                # (alpha * RX)[u][w] = sum_c alpha[u][c] RX[c][w]
-                for c in range(4):
-                    row[4 * u + c] = row[4 * u + c] + RX.rows[c][w]
-                # (XT * alpha)[u][w] = sum_c XT[u][c] alpha[c][w]
-                for c in range(4):
-                    row[4 * c + w] = row[4 * c + w] - XT.rows[u][c]
-                eq_rows.append(row)
-    system = Mat(p, eq_rows)
-    nullspace = system.nullspace()
-    if len(nullspace) != 1:
+    units = matrix_units(H.p, 4)
+    solutions = intertwiners(H.p, 4, [(rho.apply(U), U.T) for U in units])
+    if len(solutions) != 1:
         raise ValueError(
-            f"alpha solution space has dimension {len(nullspace)}, expected 1 "
+            f"alpha solution space has dimension {len(solutions)}, expected 1 "
             "(is the involution symplectic?)"
         )
-    vec = list(nullspace[0])
-    lead = next(x for x in vec if not x.is_zero())
-    inv = lead.inverse()
-    vec = [x * inv for x in vec]
-    alpha = Mat(p, [vec[4 * r : 4 * r + 4] for r in range(4)])
+    alpha = solutions[0]
     if alpha.T != -alpha:
         raise ValueError("alpha is not skew-symmetric (non-symplectic involution?)")
     if not _reproduces_involution(alpha, rho, units):

@@ -33,9 +33,6 @@ apply at every place.
 import functools
 import random
 
-import numpy as np
-
-_CONV_THRESHOLD = 24  # switch polynomial products to numpy convolution
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -226,12 +223,6 @@ class Poly:
             return other._times(a[0])
         if len(b) == 1:
             return self._times(b[0])
-        # int64 convolution is exact while every output sum stays below 2^63
-        if len(a) + len(b) > _CONV_THRESHOLD and min(len(a), len(b)) * (p - 1) ** 2 < 2**63:
-            out = np.convolve(
-                np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-            )
-            return _poly(p, tuple((out % p).tolist()))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:

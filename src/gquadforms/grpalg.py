@@ -25,9 +25,8 @@ radical stay in numpy residue arrays from the commutant through the chain
 to the certificate, other matrices run in exact `Mat`/`KSpan` arithmetic
 over F_p(t).  The fork sits in three places:
 `linalg.span_products` for RREF bases, closure, structure constants and
-the certificate's ideal and nilpotency checks; `endomorphism_algebra`,
-which solves for the commutant with `_commutant_constant` (mod p
-nullspace) or `commutant_of_matrices` (exact solve); and the chain's
+the certificate's ideal and nilpotency checks; `linalg.intertwiners`,
+which solves for the commutant in `endomorphism_algebra`; and the chain's
 combination step.  Both domains give identical results.
 
 The semisimple quotient E/R is built in one place: `certify_radical`
@@ -55,11 +54,11 @@ where both decide they agree.
 
 import math
 
-import numpy as np
-
 from .algebra import Algebra, InvolutionAlgebra, algebra_from_span, quotient_algebra
+from .csa import quaternion_from_algebra
 from .errors import CertificateError, ExtractionError, InputError, UnsupportedCenterError
 from .funcfield import Poly, RatFunc, denominator_lcm
+from .hermitian import clifford_quaternion_pair, induced_involution
 from .linalg import (
     KSpan,
     Mat,
@@ -69,9 +68,8 @@ from .linalg import (
     combination,
     exact_dtype,
     int64_stack,
-    matrix_units,
+    intertwiners,
     modp_einsum,
-    modp_nullspace,
     poly_einsum,
     rref_mats,
     span_products,
@@ -259,60 +257,14 @@ class EndAlgebra:
 
 
 def endomorphism_algebra(m):
-    """Basis of {X : X g = g X for every generator action g}, by exact solve,
-    with its multiplicative closure verified."""
+    """Basis of {X : X g = g X for every generator action g}, by
+    `linalg.intertwiners`, with its multiplicative closure verified."""
     report = check_module(m)
     report.raise_if_invalid()
-    p, n = m.p, m.dim
     actions = [m.action[g] for g in m.group.generators]
-    stack = int64_stack(p, actions)
-    if not actions:
-        basis = matrix_units(p, n)
-    elif stack is not None:
-        basis = _commutant_constant(p, n, stack)
-    else:
-        basis = commutant_of_matrices(p, n, actions)
-    E = EndAlgebra(p, n, basis)
+    E = EndAlgebra(m.p, m.dim, intertwiners(m.p, m.dim, [(g, g) for g in actions]))
     E.verify_closure()
     return E
-
-
-def _commutant_constant(p, n, actions):
-    """numpy path: constant actions (an `int64_stack`) give an F_p-defined
-    solution space, returned as its RREF basis of Mats that carry their
-    residues.  The system holds residues and their negatives, so int64."""
-    ident = np.eye(n, dtype=np.int64)
-    blocks = []
-    for A in actions:
-        # X A - A X = 0  <=>  (A^T kron I - I kron A) vec(X) = 0 (row-major vec)
-        blocks.append(np.kron(ident, A.T) - np.kron(A, ident))
-    system = np.concatenate(blocks, axis=0) % p
-    return rref_mats(p, modp_nullspace(system, p), n, n)
-
-
-def commutant_of_matrices(p, n, mats):
-    """Exact nullspace over k of {X A = A X for each A} (sparse-aware)."""
-    zero = RatFunc.zero(p)
-    rows = []
-    for A in mats:
-        # equation for entry (i, j): sum_l X[i,l] A[l,j] - A[i,l] X[l,j] = 0
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                for l in range(n):
-                    c = A.rows[l][j]
-                    if not c.is_zero():
-                        row[i * n + l] = row[i * n + l] + c
-                    c2 = A.rows[i][l]
-                    if not c2.is_zero():
-                        row[l * n + j] = row[l * n + j] - c2
-                if any(not e.is_zero() for e in row):
-                    rows.append(row)
-    null = Mat(p, rows).nullspace()
-    basis = [
-        Mat(p, [list(vec[r * n : (r + 1) * n]) for r in range(n)]) for vec in null
-    ]
-    return span_products(p, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +689,6 @@ def _component_splitness(sub, sub_inv=None, kind=None):
         return "split", []
     ramset = None
     if sub.dim == 4:
-        from .csa import quaternion_from_algebra
-
         try:
             quat, _ = quaternion_from_algebra(sub)
         except (ValueError, ExtractionError):
@@ -757,8 +707,6 @@ def _pair_ramification(sub_inv):
     """Ram(Q1) + Ram(Q2) (symmetric difference, sorted) of the Clifford pair
     of a 16-dim orthogonal component A = Q1 (x) Q2, whose Brauer class is
     [Q1] + [Q2]; None when the pair cannot be extracted."""
-    from .hermitian import clifford_quaternion_pair
-
     try:
         pair = clifford_quaternion_pair(sub_inv)
     except (ValueError, ExtractionError):
@@ -915,7 +863,5 @@ def hp_verdict(m, form=None):
     evidence["dim_radical"] = rad.dim
     if form is None:
         return verdict_from_components(decompose_components_plain(rad.quotient.algebra), evidence)
-    from .hermitian import induced_involution
-
     inv_alg = quotient_with_involution(rad, induced_involution(m, form).apply_matrix)
     return verdict_from_components(decompose_components(inv_alg), evidence)

@@ -22,6 +22,7 @@ classification used for the per-place records is isolated in
 """
 
 from .algebra import InvolutionAlgebra, algebra_from_span
+from .csa import _as_scalar, quaternion_from_algebra
 from .errors import CertificateError, ExtractionError, InputError
 from .funcfield import (
     RatFunc,
@@ -172,8 +173,6 @@ def clifford_quaternion_pair(inv_alg):
         sub, sub_span = algebra_from_span(A, [A.unit] + sp.basis_rows())
         if sub.dim != 4:
             raise ExtractionError("associative closure of a Lie ideal is not quaternion")
-        from .csa import quaternion_from_algebra
-
         quat, local_coords = quaternion_from_algebra(sub)
         sub_cols = Mat(p, sub_span.basis_rows()).T
         ambient = tuple(sub_cols.apply(lc) for lc in local_coords)
@@ -370,8 +369,6 @@ class QuaternionPairShape:
 
 def _symmetric_square_roots_of_one(A, su):
     """Candidate w with w^2 = 1, sigma(w) fixed sign, from the skew basis."""
-    from .csa import _as_scalar
-
     p = A.p
     sk = su.skew_basis()
     cands = [tuple(b) for b in sk]
@@ -434,7 +431,6 @@ def counterexample_element(shape):
     inv_alg = shape.inv_alg
     A = inv_alg.algebra
     p = A.p
-    from .csa import _as_scalar
 
     base_rams = [set(m.quaternion.ramification_set()) for m in shape.pair]
     if not shape.q_ramification:
@@ -479,8 +475,6 @@ def counterexample_element(shape):
 
 def _package_counterexample(shape, u, witness):
     A = shape.inv_alg.algebra
-    from .csa import _as_scalar
-
     # u = ab in commuting pair members with nonzero scalar squares: u^2 = a^2 b^2
     usq = _as_scalar(A, A.mult(u, u))
     nrd = shape.nrd(u)

@@ -21,8 +21,9 @@ coordinates of a vector in an RREF basis are its entries at the pivot
 columns; `KSpan.coordinates` and `span_products` both read them there.
 
 `span_products` is the one batched kernel for RREF bases of matrix lists
-and for the coordinates of matrix products in a span, with the same answer
-in either domain of the rule below.
+and for the coordinates of matrix products in a span, and `intertwiners`
+the one solver of X A = B X (commutants, adjoint forms), each with the
+same answer in either domain of the rule below.
 
 One exactness rule: constancy picks the domain, `exact_dtype(p, terms)`
 the integer width.
@@ -604,8 +605,8 @@ def charpoly_coeffs(p, Z):
 def int64_stack(p, mats):
     """The `Mat.residues` of `mats` as one (len, rows, cols) int64 array, or
     None when `mats` is empty or some matrix is not F_p-constant.  The numpy
-    paths of `span_products`, of the constant commutant and of the radical
-    chain run only on what this returns.
+    paths of `span_products`, of `intertwiners` and of the radical chain run
+    only on what this returns.
     """
     stack = [M.residues() for M in mats]
     if not stack or any(R is None for R in stack):
@@ -749,6 +750,44 @@ def modp_nullspace(A, p):
         for r, pc in enumerate(pivots):
             out[idx, pc] = (-R[r, fc]) % p
     return out
+
+
+def intertwiners(p, n, pairs):
+    """The RREF basis, as n x n Mats, of {X : X A = B X for every (A, B) in
+    pairs}; all of M_n (the `matrix_units`) when there are no pairs.
+
+    X is flattened row-major, so each pair contributes the equations
+    (I kron A^T - B kron I) vec(X) = 0.  Domains (the module docstring's
+    rule): numpy mod p (`modp_nullspace`, `rref_mats`) when `int64_stack`
+    accepts every matrix, the system holding residues and their negatives,
+    so int64; otherwise the exact nullspace of the system, built as sparse
+    rows, reduced by `span_products`.
+    """
+    pairs = list(pairs)
+    stack = int64_stack(p, [M for pair in pairs for M in pair])
+    if stack is not None:
+        ident = np.eye(n, dtype=np.int64)
+        system = [np.kron(ident, A.T) - np.kron(B, ident) for A, B in stack.reshape(-1, 2, n, n)]
+        return rref_mats(p, modp_nullspace(np.concatenate(system), p), n, n)
+    zero = RatFunc.zero(p)
+    rows = []
+    for A, B in pairs:
+        # equation for entry (i, j): sum_l X[i,l] A[l,j] - B[i,l] X[l,j] = 0
+        for i in range(n):
+            for j in range(n):
+                row = [zero] * (n * n)
+                for l in range(n):
+                    a = A.rows[l][j]
+                    if not a.is_zero():
+                        row[i * n + l] = row[i * n + l] + a
+                    b = B.rows[i][l]
+                    if not b.is_zero():
+                        row[l * n + j] = row[l * n + j] - b
+                if any(not e.is_zero() for e in row):
+                    rows.append(row)
+    # no equations at all: every X solves
+    null = Mat(p, rows or [[zero] * (n * n)]).nullspace()
+    return span_products(p, _mats(p, null, n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ made from; a check that the build itself makes and fails raises, and the
 CLI reports it as a certificate failure (exit 3).
 """
 
-from .construct import _verify_canonical_quotient_involution, _verify_quotient_is_Hop
+import random
+
+from .construct import _block, _verify_canonical_quotient_involution, _verify_quotient_is_Hop
 from .construct import build_counterexample, default_quaternions
 from .csa import RhoInvolution, SandwichIso, rho_involution, solve_alpha, twisted_involution
 from .errors import CertificateError, ExtractionError
@@ -104,8 +106,6 @@ def run_paper_identities(p=3):
 
 
 def _norm_identity(H):
-    import random
-
     rng = random.Random(11)
     p = H.p
     for _ in range(10):
@@ -137,8 +137,6 @@ def _is_scalar_multiple(X, Y):
 
 def _gamma_blocks(b):
     """gamma([[x, y], [0, x]]) = [[a^-1 x^T a, -a^-1 y^T a], [0, ...]]."""
-    from .construct import _block
-
     alpha = b.alpha
     alpha_inv = alpha.inverse()
     for X in b.end_algebra.basis:

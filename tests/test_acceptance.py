@@ -97,7 +97,7 @@ def test_criterion_04_structure_of_EN(h1):
     t0 = time.time()
     from gquadforms.construct import build_N, verify_EN
 
-    N, _ = build_N(h1)
+    N = build_N(h1)
     assert N.dim == 8
     report, E, rad = verify_EN(N, h1)
     assert report["dim_end"] == 20

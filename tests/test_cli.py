@@ -132,6 +132,20 @@ def test_other_prime(capsys):
     assert all(s == 1 for _, s in data["symbols"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("qf-equiv", "--p", "5", "a.json", "b.json"), ("hp-check", "--p", "5", "m.json"), ("verify-paper", "--pretty")],
+)
+def test_options_a_command_ignores_are_refused(capsys, argv):
+    # qf-equiv and hp-check read p from their files; verify-paper prints PASS/FAIL lines
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, _ = run(capsys, "symbol", "--p", "5", "-1", "t")
+    assert code == 0 and json.loads(out)["product"] == 1
+
+
 def test_sample_places_count(capsys):
     from gquadforms.construct import sample_unramified_places
     from gquadforms.funcfield import Place

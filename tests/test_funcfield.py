@@ -151,7 +151,8 @@ def test_ratfunc_polynomial_fast_path(p, num_coeffs, g_coeffs):
 @pytest.mark.parametrize("p", [P, BIG, 2**61 - 1])
 def test_poly_mul_exact_at_any_prime(p):
     rng = random.Random(p)
-    for la, lb in ((15, 15), (2, 40), (30, 31)):  # all above the convolution threshold
+    # long products: at the large primes their coefficient sums exceed 2^63
+    for la, lb in ((15, 15), (2, 40), (30, 31)):
         a = [rng.randrange(1, p) for _ in range(la)]
         b = [rng.randrange(1, p) for _ in range(lb)]
         want = [0] * (la + lb - 1)
@@ -193,8 +194,7 @@ def test_negation_keeps_interior_zero():
 def test_poly_and_ratfunc_fast_paths_match_normalising_constructors(p):
     rng = random.Random(f"fast paths:{p}")
     for trial in range(120):
-        # schoolbook lengths, then lengths past the convolution threshold
-        # (len(a) + len(b) > 24; at 2^31 - 1 the int64 bound keeps schoolbook)
+        # short products, then long ones (len(a) + len(b) up to 58)
         hi = 8 if trial % 2 else 30
         a = Poly(p, _sparse_coeffs(rng, p, rng.randrange(0, hi)))
         b = Poly(p, _sparse_coeffs(rng, p, rng.randrange(0, hi)))

@@ -154,8 +154,8 @@ def test_group_algebra_self_endomorphisms():
 
 @pytest.mark.parametrize("constant", [True, False])
 def test_commutant_basis_is_reduced_once(monkeypatch, constant):
-    """Both commutant solvers return an RREF basis, and `Algebra.from_matrices`
-    builds E on it without reducing it a second time."""
+    """`intertwiners` returns an RREF basis in both domains, and
+    `Algebra.from_matrices` builds E on it without reducing it a second time."""
     import gquadforms.algebra as algebra
 
     t = RatFunc.t(P)
@@ -165,25 +165,31 @@ def test_commutant_basis_is_reduced_once(monkeypatch, constant):
     else:
         m = GModule(GroupSpec(P, ["g"]), {"g": Mat(P, [[one, t, zero], [zero, one, zero], [zero, zero, one]])})
     plain = []
-    for module in (algebra, grpalg):
-        real = module.span_products
+    real_span, real_exact = algebra.span_products, linalg._span_products_exact
 
-        def counted(p, xs, ys=None, basis=None, real=real):
-            if ys is None and basis is None:
-                plain.append(len(xs))
-            return real(p, xs, ys, basis)
+    def counted(p, xs, ys=None, basis=None):
+        if ys is None and basis is None:
+            plain.append(len(xs))
+        return real_span(p, xs, ys, basis)
 
-        monkeypatch.setattr(module, "span_products", counted)
-    real_rref_mats = grpalg.rref_mats
+    def counted_exact(p, xs, ys, basis):  # the exact solver reduces its nullspace here
+        if ys is None and basis is None:
+            plain.append(len(xs))
+        return real_exact(p, xs, ys, basis)
+
+    monkeypatch.setattr(algebra, "span_products", counted)
+    monkeypatch.setattr(linalg, "_span_products_exact", counted_exact)
+    real_rref_mats = linalg.rref_mats
 
     def counted_rref(p, Z, n, m):  # the constant solver reduces its nullspace directly
         plain.append(len(Z))
         return real_rref_mats(p, Z, n, m)
 
-    monkeypatch.setattr(grpalg, "rref_mats", counted_rref)
+    monkeypatch.setattr(linalg, "rref_mats", counted_rref)
     E = endomorphism_algebra(m)
-    assert E.algebra().matrices == E.basis and span_products(P, E.basis) == E.basis
+    assert E.algebra().matrices == E.basis
     assert plain == [E.dim]  # the solver's own reduction, and no other
+    assert span_products(P, E.basis) == E.basis
 
 
 def test_generic_commutant_polynomial_entries():
@@ -457,7 +463,6 @@ def test_stable_components_with_a_form(monkeypatch):
 
 
 def test_component_splitness_lets_unexpected_errors_through(monkeypatch):
-    import gquadforms.csa
     from gquadforms.algebra import Algebra
     from gquadforms.grpalg import decompose_components_plain
     from gquadforms.linalg import matrix_units
@@ -465,7 +470,7 @@ def test_component_splitness_lets_unexpected_errors_through(monkeypatch):
     def broken(alg):
         raise TypeError("bug inside quaternion extraction")
 
-    monkeypatch.setattr(gquadforms.csa, "quaternion_from_algebra", broken)
+    monkeypatch.setattr(grpalg, "quaternion_from_algebra", broken)
     alg = Algebra.from_matrices(P, matrix_units(P, 2))
     with pytest.raises(TypeError):
         decompose_components_plain(alg)
@@ -795,7 +800,8 @@ def test_commutant_and_radical_exact_at_any_prime(monkeypatch, p):
     assert (E.dim, rad.dim) == (5, 3)
     assert hp_verdict(m)["verdict"] == "guaranteed"
     monkeypatch.setattr(grpalg, "int64_stack", lambda p, mats: None)
-    assert commutant == grpalg.commutant_of_matrices(p, 3, [m.action["g"]])
+    monkeypatch.setattr(linalg, "int64_stack", lambda p, mats: None)
+    assert commutant == linalg.intertwiners(p, 3, [(m.action["g"], m.action["g"])])
     assert rad.basis == grpalg._radical_chain(p, 3, commutant)
 
 
@@ -1325,18 +1331,20 @@ def test_word_size_constant_modules_stay_on_residues(monkeypatch):
     p = 2**31 - 1
     modules = [_box_module(p, boxes, seed=i) for i, boxes in enumerate(_BOXES)]
     exact_calls = []
-    real_commutant, real_span = grpalg.commutant_of_matrices, linalg._span_products_exact
+    real_nullspace, real_span = Mat.nullspace, linalg._span_products_exact
+    unknowns = {m.dim**2 for m in modules}
 
-    def commutant(p, n, mats):
-        exact_calls.append("commutant_of_matrices")
-        return real_commutant(p, n, mats)
+    def nullspace(self):
+        if self.ncols in unknowns:  # the exact branch of `intertwiners`
+            exact_calls.append("intertwiners")
+        return real_nullspace(self)
 
     def span_exact(p, xs, ys, basis):
         if xs and all(g for g in (ys, basis) if g is not None):
             exact_calls.append("_span_products_exact")
         return real_span(p, xs, ys, basis)
 
-    monkeypatch.setattr(grpalg, "commutant_of_matrices", commutant)
+    monkeypatch.setattr(Mat, "nullspace", nullspace)
     monkeypatch.setattr(linalg, "_span_products_exact", span_exact)
     dims = [(out["evidence"]["dim_end"], out["evidence"]["dim_radical"]) for out in map(hp_verdict, modules)]
     assert dims == [(24, 16), (20, 15), (8, 7)]

@@ -450,3 +450,69 @@ def test_int64_gate_runs_before_any_residue_scan(monkeypatch):
     assert int64_stack(big, [M]) is None and int64_stack(big, [N]) is None
     assert calls == []
     assert M.rows[1][1] == RatFunc.from_int(big, 2**70)
+
+
+def _invertible_int_rows(rng, p, n):
+    while True:
+        M = Mat.from_int_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        if not M.det().is_zero():
+            return M
+
+
+def _intertwiner_pairs(p, seed):
+    """Seeded constant pairs (A, B), A != B: B_k = S A_k S^-1 for the
+    conjugates A_k = R D_k R^-1 of D_1 = diag(1, 1, 2, 2), D_2 = E_12, so
+    the solutions form a 6-dimensional space; then pairs of unrelated
+    matrices, whose solutions are typically 0."""
+    rng = random.Random(seed)
+    R, S = _invertible_int_rows(rng, p, 4), _invertible_int_rows(rng, p, 4)
+    D = [Mat.from_int_rows(p, [[int(i == j) * (1 + i // 2) for j in range(4)] for i in range(4)])]
+    D.append(Mat.from_int_rows(p, [[int((i, j) == (0, 1)) for j in range(4)] for i in range(4)]))
+    similar = [(R * Dk * R.inverse(), S * R * Dk * R.inverse() * S.inverse()) for Dk in D]
+    unrelated = [(_invertible_int_rows(rng, p, 4), _invertible_int_rows(rng, p, 4)) for _ in range(2)]
+    return {"similar": similar, "unrelated": unrelated}
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1, 2**61 - 1])
+def test_intertwiners_agree_across_domains_and_with_sympy(monkeypatch, p):
+    """`intertwiners` solves X A = B X with the same RREF basis mod p and in
+    exact arithmetic, and its dimension is that of sympy's nullspace of the
+    stacked system over GF(p)."""
+    import gquadforms.linalg as linalg
+    from gquadforms.linalg import intertwiners
+
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    cases = _intertwiner_pairs(p, seed=p % 1000)
+    fast = {name: intertwiners(p, 4, pairs) for name, pairs in cases.items()}
+    assert all(M.residues() is not None for basis in fast.values() for M in basis)
+    assert len(fast["similar"]) == 6
+    monkeypatch.setattr(linalg, "int64_stack", lambda p, mats: None)
+    assert {name: intertwiners(p, 4, pairs) for name, pairs in cases.items()} == fast
+    K = sympy.GF(p)
+    for name, pairs in cases.items():
+        for X in fast[name]:
+            assert all(X * A == B * X for A, B in pairs)
+        # coefficient of X[r][c] in (X A - B X)[i][j]
+        rows = [
+            [K(int((r == i) * A[c, j].num.lc - (c == j) * B[i, r].num.lc)) for r in range(4) for c in range(4)]
+            for A, B in pairs
+            for i in range(4)
+            for j in range(4)
+        ]
+        assert len(fast[name]) == DomainMatrix(rows, (len(rows), 16), K).nullspace().shape[0]
+
+
+def test_intertwiners_of_a_polynomial_pair_and_of_no_pairs():
+    from gquadforms.linalg import intertwiners, matrix_units, span_products
+
+    t, one, zero = RatFunc.t(P), RatFunc.one(P), RatFunc.zero(P)
+    A = Mat(P, [[one, t], [zero, one]])
+    S = Mat(P, [[one, one], [zero, t]])
+    B = S * A * S.inverse()
+    basis = intertwiners(P, 2, [(A, B)])
+    # X = S C for C in the commutant of A, {a I + b (A - I)}
+    assert len(basis) == 2 and all(X * A == B * X for X in basis)
+    assert span_products(P, basis) == basis
+    assert intertwiners(P, 3, []) == matrix_units(P, 3)

@@ -5,8 +5,7 @@ import pytest
 
 from gquadforms.errors import InputError
 from gquadforms.funcfield import RatFunc
-from gquadforms.grpalg import commutant_of_matrices
-from gquadforms.linalg import KSpan, Mat
+from gquadforms.linalg import KSpan, Mat, intertwiners
 from gquadforms.quadform import QuadForm, equivalent_global
 
 P = 3
@@ -63,8 +62,8 @@ def direct_tensor_commutant(module, block_size):
             right_blocks.append(diag)
             continue
         raise InputError(f"generator {g} is neither block-scalar nor block-diagonal")
-    left = commutant_of_matrices(p, nb, left_patterns)
-    right = commutant_of_matrices(p, b, right_blocks)
+    left = intertwiners(p, nb, [(A, A) for A in left_patterns])
+    right = intertwiners(p, b, [(A, A) for A in right_blocks])
     return left, right
 
 
